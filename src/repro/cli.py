@@ -313,8 +313,6 @@ def cmd_bench_perf(args):
         serve_instructions=args.serve_instructions,
         trace_replay=args.trace_replay,
         trace_replay_instructions=args.trace_replay_instructions,
-        batch=args.batch,
-        batch_instructions=args.batch_instructions,
         load=args.load,
         load_requests=args.load_requests,
         load_clients=args.load_clients,
@@ -817,13 +815,6 @@ def build_parser():
                        default=10_000,
                        help="instruction budget per trace-replay "
                             "sweep run")
-    bench.add_argument("--batch", action="store_true",
-                       help="also bench the SoA batch kernel (sweep "
-                            "via REPRO_BATCH=on vs lockstep and vs "
-                            "scalar replay, repeated-sweep speedup)")
-    bench.add_argument("--batch-instructions", type=_positive_int,
-                       default=10_000,
-                       help="instruction budget per batch sweep run")
     bench.add_argument("--load", action="store_true",
                        help="also bench the cluster tier under a "
                             "zipf-skewed synthetic client load "

@@ -660,148 +660,11 @@ def bench_trace_replay(benchmarks=("libquantum", "mcf"),
     }
 
 
-def bench_batch(benchmarks=("libquantum", "mcf"),
-                prefetchers=SWEEP_PREFETCHERS,
-                instructions=10_000, policy=None):
-    """SoA batch-kernel numbers for the repeated-sweep workflow.
-
-    Same sweep shape as :func:`bench_trace_replay`, all serial, so the
-    two payloads compare directly:
-
-    * ``lockstep_seconds`` -- cold sweep, batch off, replay off (the
-      scalar baseline);
-    * ``record_seconds`` -- recording one functional trace per
-      benchmark (batch implies trace; this is its one-time cost);
-    * ``batch_seconds`` -- cold *result* cache, warm *trace* store,
-      ``REPRO_BATCH=on``: every cell re-times through the batch kernel
-      (what a new config sweep costs with the kernel);
-    * ``replay_seconds`` -- the same warm-trace cold-result sweep
-      through the scalar fused-replay engine, for the honest per-cell
-      ``batch_vs_replay_speedup`` (the kernel's win over the best
-      scalar path, not over lockstep);
-    * ``warm_cache_seconds`` -- the identical batch sweep again with
-      everything warm; ``repeated_sweep_speedup`` is the headline
-      repeated-sweep number (lockstep / warm).
-
-    ``batch_instr_per_sec`` times the kernel alone -- all cells as
-    lanes of one :class:`~repro.batch.BatchKernel`, hot memos -- and
-    ``results_identical`` asserts the batch sweep's payloads are
-    byte-identical to the lockstep baseline's.
-    """
-    import shutil
-
-    from repro.batch import BatchKernel, batch_counters, \
-        reset_batch_counters
-    from repro.trace.replay import TraceReplaySource
-    from repro.trace.store import TraceStore, clear_memos
-
-    requests = [
-        RunRequest(bench, prefetcher, instructions)
-        for bench in benchmarks
-        for prefetcher in prefetchers
-    ]
-
-    def timed_sweep(cache_dir, batch_mode, replay_mode):
-        saved = {
-            name: os.environ.get(name)
-            for name in ("REPRO_BATCH", "REPRO_TRACE_REPLAY")
-        }
-        os.environ["REPRO_BATCH"] = batch_mode
-        os.environ["REPRO_TRACE_REPLAY"] = replay_mode
-        try:
-            runner = ExperimentRunner(cache_dir=cache_dir, policy=policy)
-            start = time.perf_counter()
-            results = runner.run_many(requests, jobs=1)
-            return time.perf_counter() - start, results
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-
-    with tempfile.TemporaryDirectory() as lockstep_dir:
-        lockstep_seconds, lockstep_results = timed_sweep(
-            lockstep_dir, "off", "off")
-
-    with tempfile.TemporaryDirectory() as batch_dir:
-        # one-time record cost (batch implies trace)
-        store = TraceStore(batch_dir)
-        start = time.perf_counter()
-        for bench in benchmarks:
-            store.record(build_workload(bench), instructions)
-        record_seconds = time.perf_counter() - start
-
-        # cold result cache + warm trace store, through the kernel
-        clear_memos()
-        reset_batch_counters()
-        batch_seconds, batch_results = timed_sweep(batch_dir, "on", "off")
-        counters = dict(batch_counters)
-
-        # the same warm-trace cold-result sweep on the scalar replay
-        # engine: the honest per-cell comparison
-        clear_memos()
-        shutil.rmtree(os.path.join(batch_dir, "single"),
-                      ignore_errors=True)
-        replay_seconds, _replay_results = timed_sweep(
-            batch_dir, "off", "auto")
-
-        # everything warm: the repeated-sweep case
-        warm_cache_seconds, _warm_results = timed_sweep(
-            batch_dir, "on", "off")
-
-        # kernel-only instr/s: every cell as a lane, hot memos
-        kernel = BatchKernel()
-        for bench in benchmarks:
-            workload = build_workload(bench)
-            trace = store.load(workload, instructions)
-            for prefetcher in prefetchers:
-                system = System(workload, SystemConfig(
-                    prefetcher=prefetcher),
-                    replay=TraceReplaySource(workload, trace))
-                kernel.add_lane(system, instructions)
-        start = time.perf_counter()
-        kernel.run()
-        kernel_seconds = time.perf_counter() - start
-
-    identical = [r.as_dict() for r in lockstep_results] == [
-        r.as_dict() for r in batch_results
-    ]
-    return {
-        "runs": len(requests),
-        "benchmarks": list(benchmarks),
-        "prefetchers": list(prefetchers),
-        "instructions_per_run": instructions,
-        "lockstep_seconds": lockstep_seconds,
-        "record_seconds": record_seconds,
-        "batch_seconds": batch_seconds,
-        "replay_seconds": replay_seconds,
-        "warm_cache_seconds": warm_cache_seconds,
-        "batch_speedup": (
-            lockstep_seconds / batch_seconds if batch_seconds else 0.0
-        ),
-        "batch_vs_replay_speedup": (
-            replay_seconds / batch_seconds if batch_seconds else 0.0
-        ),
-        "repeated_sweep_speedup": (
-            lockstep_seconds / warm_cache_seconds
-            if warm_cache_seconds else 0.0
-        ),
-        "batch_instr_per_sec": (
-            len(requests) * instructions / kernel_seconds
-            if kernel_seconds else 0.0
-        ),
-        "results_identical": identical,
-        "counters": counters,
-    }
-
-
 def run_perf_suite(benchmark="libquantum", instructions=30_000,
                    sweep_benchmarks=None, sweep_instructions=10_000,
                    jobs=4, label=None, policy=None, serve=False,
                    serve_instructions=4_000, trace_replay=False,
-                   trace_replay_instructions=10_000, batch=False,
-                   batch_instructions=10_000, load=False,
+                   trace_replay_instructions=10_000, load=False,
                    load_requests=10_000, load_clients=32,
                    load_instructions=2_000):
     """Run the component timings (and optional sweep); returns the payload.
@@ -817,8 +680,6 @@ def run_perf_suite(benchmark="libquantum", instructions=30_000,
     :param trace_replay: when true, also run :func:`bench_trace_replay`
         and attach its record/replay/repeated-sweep numbers under the
         ``trace_replay`` key.
-    :param batch: when true, also run :func:`bench_batch` and attach
-        the SoA batch-kernel numbers under the ``batch`` key.
     :param load: when true, also run :func:`bench_load` and attach the
         cluster-tier zipf load-generator numbers (jobs/s, p50/p99,
         cache-peer hit rate at 1 vs 2 nodes, with and without chaos)
@@ -846,10 +707,6 @@ def run_perf_suite(benchmark="libquantum", instructions=30_000,
     if trace_replay:
         payload["trace_replay"] = bench_trace_replay(
             instructions=trace_replay_instructions, policy=policy,
-        )
-    if batch:
-        payload["batch"] = bench_batch(
-            instructions=batch_instructions, policy=policy,
         )
     if load:
         payload["load"] = bench_load(
@@ -916,18 +773,6 @@ def render_summary(payload):
                trace_replay["warm_cache_seconds"],
                trace_replay["repeated_sweep_speedup"],
                trace_replay["results_identical"])
-        )
-    batch = payload.get("batch")
-    if batch:
-        lines.append(
-            "  batch: %d runs  lockstep %.2fs  batch %.2fs (%.2fx)  "
-            "vs-replay %.2fx  repeated sweep %.2fs (%.2fx)  identical=%s"
-            % (batch["runs"], batch["lockstep_seconds"],
-               batch["batch_seconds"], batch["batch_speedup"],
-               batch["batch_vs_replay_speedup"],
-               batch["warm_cache_seconds"],
-               batch["repeated_sweep_speedup"],
-               batch["results_identical"])
         )
     serve = payload.get("serve")
     if serve:

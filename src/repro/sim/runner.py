@@ -97,7 +97,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.metrics import weighted_speedup
 from repro.sim.system import RunResult, System
 from repro.trace.store import (
-    replay_counters as _replay_counters,
+    bump_counter as _bump_counter,
     replay_mode as _replay_mode,
     replay_source_for as _replay_source_for,
 )
@@ -235,7 +235,7 @@ def _execute_single(benchmark, prefetcher, instructions, config, variant,
     workload = build_workload(benchmark, variant)
     replay = _replay_source_for(workload, instructions, variant,
                                 cache_dir=cache_dir)
-    _replay_counters["replayed" if replay is not None else "lockstep"] += 1
+    _bump_counter("replayed" if replay is not None else "lockstep")
     system = System(workload, config, replay=replay)
     sanitizer = Sanitizer.from_env()
     checkpointer = _checkpointer_from_env(
@@ -320,12 +320,10 @@ class ExperimentRunner:
         self.cache_peers = cache_peers
         self.last_report = None
         self._memo = {}
-        # fail fast on a malformed REPRO_TRACE_REPLAY / REPRO_BATCH
-        # instead of letting every task burn its retry budget on the
-        # same config error
+        # fail fast on a malformed REPRO_TRACE_REPLAY instead of
+        # letting every task burn its retry budget on the same config
+        # error
         _replay_mode()
-        from repro.batch import batch_mode
-        batch_mode()
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
             # a crashed writer can leave ".tmp-*" droppings behind from
@@ -796,99 +794,12 @@ class ExperimentRunner:
         # second across all misses (each duplicate group simulates once)
         simulated = sum(task.job[2] for task in tasks)
         with profiler.section("execute", items=simulated):
-            from repro.batch import batch_mode
-            mode = batch_mode()
-            if tasks and mode != "off" and (jobs == 1 or mode == "on"):
-                tasks = self._run_batch_kernel(tasks, results, report,
-                                               tracker, mode)
-            if tasks:
-                if jobs == 1:
-                    self._run_serial(tasks, results, report, policy,
-                                     tracker)
-                else:
-                    self._run_pool(tasks, results, report, policy, jobs,
-                                   tracker)
+            if jobs == 1:
+                self._run_serial(tasks, results, report, policy, tracker)
+            else:
+                self._run_pool(tasks, results, report, policy, jobs,
+                               tracker)
         return results, report
-
-    def _batch_replay_source(self, workload, instructions, variant):
-        """Trace source for a batch lane.
-
-        The batch kernel *requires* a recorded trace, so ``REPRO_BATCH``
-        implies recording even when ``REPRO_TRACE_REPLAY`` is off
-        (replay-vs-lockstep identity is already enforced by the trace
-        test suite, so the answer cannot change).  With replay enabled
-        the ordinary source builder runs, honouring its own mode.
-        """
-        if _replay_mode() != "off":
-            return _replay_source_for(workload, instructions, variant,
-                                      cache_dir=self.cache_dir)
-        from repro.trace.replay import TraceReplaySource
-        from repro.trace.store import TraceStore
-        trace = TraceStore(self.cache_dir).get_or_record(
-            workload, instructions, variant)
-        return TraceReplaySource(workload, trace)
-
-    def _run_batch_kernel(self, tasks, results, report, tracker, mode):
-        """Route eligible miss tasks through the SoA batch kernel.
-
-        Returns the tasks the kernel did not serve; in ``auto`` mode
-        that is the ineligible ones (plus everything, counted as
-        fallbacks, when the kernel attempt fails), while in ``on`` mode
-        any gate, ineligible lane or kernel failure raises so CI runs
-        cannot silently measure the scalar path.
-        """
-        from repro.batch import batch_counters, record_fallback
-        from repro.batch.kernel import BatchIneligible, BatchKernel
-        gate = None
-        if get_fault_plan().active:
-            gate = "fault injection is active"
-        elif Sanitizer.from_env() is not None:
-            gate = "the sanitizer is active"
-        elif os.environ.get("REPRO_CKPT_DIR"):
-            gate = "checkpointing is active"
-        if gate is not None:
-            if mode == "on":
-                raise BatchIneligible(gate)
-            return tasks
-        try:
-            kernel = BatchKernel()
-            served = []
-            leftover = []
-            for task in tasks:
-                benchmark, _prefetcher, instructions, config, variant = (
-                    task.job
-                )
-                workload = build_workload(benchmark, variant)
-                replay = self._batch_replay_source(workload, instructions,
-                                                   variant)
-                system = System(workload, config, replay=replay)
-                try:
-                    kernel.add_lane(system, instructions)
-                except BatchIneligible as exc:
-                    if mode == "on":
-                        raise
-                    record_fallback(str(exc))
-                    leftover.append(task)
-                    continue
-                served.append(task)
-            if not served:
-                return tasks
-            kernel.run()
-            lane_results = kernel.results()
-        except BatchIneligible:
-            raise
-        except Exception:
-            if mode == "on":
-                raise
-            for _ in tasks:
-                record_fallback("batch kernel failure")
-            return tasks
-        batch_counters["lanes"] += len(served)
-        _replay_counters["replayed"] += len(served)
-        for task, result in zip(served, lane_results):
-            self._complete(task, result.as_dict(), results, report,
-                           tracker)
-        return leftover
 
     # -- batch internals ------------------------------------------------
 
@@ -1163,64 +1074,21 @@ class ExperimentRunner:
             ]
             if any(replay is None for replay in replays):
                 replays = None  # all-or-nothing: keep the mix uniform
-        _replay_counters[
-            "replayed" if replays is not None else "lockstep"] += 1
+        _bump_counter("replayed" if replays is not None else "lockstep")
         sanitizer = Sanitizer.from_env()
         checkpointer = _checkpointer_from_env("mix-%s" % memo_key[1][:16])
         corrupt_at = get_fault_plan().corrupt_state_cycle(memo_key[1])
-        plain = (checkpointer is None and sanitizer is None
-                 and corrupt_at is None)
-        results = (
-            self._try_mix_batch(workloads, config, instructions)
-            if plain else None
-        )
-        if results is None:
-            cmp_system = CMPSystem(workloads, config, replays=replays)
-            if plain:
-                results = cmp_system.run(instructions)
-            else:
-                with signal_guard() as interrupt:
-                    results = cmp_system.run(
-                        instructions, checkpointer=checkpointer,
-                        sanitizer=sanitizer, interrupt=interrupt,
-                        corrupt_at=corrupt_at,
-                    )
+        cmp_system = CMPSystem(workloads, config, replays=replays)
+        if checkpointer is None and sanitizer is None and corrupt_at is None:
+            results = cmp_system.run(instructions)
+        else:
+            with signal_guard() as interrupt:
+                results = cmp_system.run(
+                    instructions, checkpointer=checkpointer,
+                    sanitizer=sanitizer, interrupt=interrupt,
+                    corrupt_at=corrupt_at,
+                )
         self._save(path, [result.as_dict() for result in results], memo_key)
-        return results
-
-    def _try_mix_batch(self, workloads, config, instructions):
-        """Attempt the batch-tier CMP runner; returns results or None.
-
-        None means "use the scalar path": batch mode is off, or (in
-        ``auto`` mode) the mix is ineligible or the attempt failed.  The
-        attempt always runs on freshly built systems and replay sources,
-        so a failure cannot leak partially-advanced state into the
-        scalar rerun; ``on`` mode propagates instead of falling back.
-        """
-        from repro.batch import batch_counters, batch_mode, record_fallback
-        mode = batch_mode()
-        if mode == "off":
-            return None
-        from repro.batch.cmp import run_mix_batch
-        from repro.batch.kernel import BatchIneligible
-        try:
-            replays = [
-                self._batch_replay_source(workload, instructions, 0)
-                for workload in workloads
-            ]
-            cmp_system = CMPSystem(workloads, config, replays=replays)
-            results = run_mix_batch(cmp_system, instructions)
-        except BatchIneligible as exc:
-            if mode == "on":
-                raise
-            record_fallback(str(exc))
-            return None
-        except Exception:
-            if mode == "on":
-                raise
-            record_fallback("batch kernel failure")
-            return None
-        batch_counters["cmp"] += 1
         return results
 
     # ------------------------------------------------------------------

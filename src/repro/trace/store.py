@@ -19,12 +19,15 @@ prefetchers over one benchmark decodes and pre-processes each trace
 once.  ``replay_counters`` tracks how executions were served
 (``recorded``/``replayed``/``lockstep``/``fallback``); the CI smoke job
 asserts a warmed store serves a sweep with zero functional executions,
-and the serve ``statz`` endpoint republishes them.
+and the serve ``statz`` endpoint republishes them.  The job server runs
+executions on a thread pool, so every update goes through
+:func:`bump_counter` under one lock.
 """
 
 import hashlib
 import json
 import os
+import threading
 from collections import OrderedDict
 
 from repro.cpu.functional import write_regs_of
@@ -47,11 +50,20 @@ replay_counters = {
     "lockstep": 0,   # runs executed lockstep (replay off or refused)
     "fallback": 0,   # stored traces rejected on load (re-recorded)
 }
+_COUNTER_LOCK = threading.Lock()
+
+
+def bump_counter(key, amount=1):
+    """Add *amount* to ``replay_counters[key]`` without losing updates
+    to concurrent callers (a bare ``+=`` is a read-modify-write)."""
+    with _COUNTER_LOCK:
+        replay_counters[key] += amount
 
 
 def reset_counters():
-    for key in replay_counters:
-        replay_counters[key] = 0
+    with _COUNTER_LOCK:
+        for key in replay_counters:
+            replay_counters[key] = 0
 
 
 def replay_mode():
@@ -199,7 +211,7 @@ class TraceStore:
             trace = decode_trace(blob, write_regs_of(workload.program),
                                  expect_meta=meta)
         except TraceError:
-            replay_counters["fallback"] += 1
+            bump_counter("fallback")
             remove_if_unchanged(path, signature)
             return None
         trace.digest = digest
@@ -210,7 +222,7 @@ class TraceStore:
         """Record a fresh trace, persist it, and memoise it."""
         blob, trace = record_trace(workload, steps, variant)
         trace.digest = trace_digest(trace.meta)
-        replay_counters["recorded"] += 1
+        bump_counter("recorded")
         path = self.path_for(trace.digest)
         if path is not None:
             atomic_write_bytes(path, blob)
@@ -249,8 +261,8 @@ def replay_source_for(workload, steps, variant=0, cache_dir=None):
     Honors ``REPRO_TRACE_REPLAY``: returns None in ``off`` mode; in
     ``auto`` a failure to obtain a trace degrades silently to lockstep
     (None); in ``on`` it propagates.  The caller is responsible for
-    bumping ``replay_counters["replayed"]``/``["lockstep"]`` per
-    execution served.
+    bumping the ``replayed``/``lockstep`` counters (:func:`bump_counter`)
+    per execution served.
     """
     mode = replay_mode()
     if mode == "off":

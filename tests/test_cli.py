@@ -1,8 +1,10 @@
 """Command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _duration_seconds, build_parser, main
 
 
 def test_list(capsys):
@@ -95,3 +97,34 @@ def test_run_with_checkpointing(tmp_path, capsys):
     # run completed, so its checkpoint was cleared
     assert not any(name.endswith(".ckpt.json")
                    for name in os.listdir(ckpt_dir))
+
+
+# ----------------------------------------------------------------------
+# duration parsing
+
+
+@pytest.mark.parametrize("text,want", [
+    ("90", 90.0),
+    ("10s", 10.0),
+    ("45m", 2_700.0),
+    ("12h", 43_200.0),
+    ("30d", 2_592_000.0),
+    ("2w", 1_209_600.0),
+    ("1.5h", 5_400.0),
+])
+def test_duration_accepts(text, want):
+    assert _duration_seconds(text) == want
+
+
+@pytest.mark.parametrize("text", [
+    "", "abc", "5 m", "1h30m", "-5m", "0", "0s", "-0.0",
+    "nan", "inf", "-inf", "infs", "nand", "1_0", ".", "m",
+])
+def test_duration_rejects(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="positive"):
+        _duration_seconds(text)
+
+
+def test_duration_error_names_units():
+    with pytest.raises(argparse.ArgumentTypeError, match="s/m/h/d/w"):
+        _duration_seconds("5 parsecs")

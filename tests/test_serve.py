@@ -29,6 +29,7 @@ from repro.serve import (
     ServeClient,
     ServeError,
 )
+from repro.serve.metrics import quantile
 from repro.serve.server import ServerThread
 from repro.sim import ExperimentRunner, RunRequest
 
@@ -415,3 +416,38 @@ class TestJobTableUnit(object):
         table.forget(job)
         assert table.get(job.id) is None
         assert table.find_active("k") is None
+
+
+# ----------------------------------------------------------------------
+# serve.metrics quantile interpolation
+
+
+def test_quantile_worked_example():
+    values = [10, 20, 30, 40]
+    assert quantile(values, 0.00) == 10.0
+    assert quantile(values, 0.50) == 25.0
+    assert quantile(values, 0.95) == pytest.approx(38.5)
+    assert quantile(values, 0.99) == pytest.approx(39.7)
+    assert quantile(values, 1.00) == 40.0
+
+
+def test_quantile_small_window_p99_not_pinned_to_max():
+    """The old nearest-rank-by-truncation rule reported the window max
+    as p99 for every window under 100 samples."""
+    for n in (2, 10, 50, 99):
+        values = list(range(1, n + 1))
+        p99 = quantile(values, 0.99)
+        assert p99 < max(values)
+        assert p99 > quantile(values, 0.95)
+    # at n >= 101 the two estimators converge near the top anyway
+    assert quantile(list(range(1, 102)), 0.99) == pytest.approx(100.0)
+
+
+def test_quantile_edge_cases():
+    assert quantile([], 0.5) == 0.0
+    assert quantile([7.5], 0.99) == 7.5
+    # q clamped into [0, 1]
+    assert quantile([1, 2, 3], -0.5) == 1.0
+    assert quantile([1, 2, 3], 2.0) == 3.0
+    # order-independent
+    assert quantile([3, 1, 2], 0.5) == 2.0

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -21,10 +22,12 @@ from repro.sim.config import PREFETCHER_NAMES, SystemConfig
 from repro.sim.runner import ExperimentRunner, RunRequest
 from repro.sim.system import RunResult, System
 from repro.trace.format import TRACE_MAGIC, TraceError, decode_trace
+from repro.trace.fuzz import run_fuzz
 from repro.trace.record import record_trace, trace_meta
 from repro.trace.replay import TraceReplaySource
 from repro.trace.store import (
     TraceStore,
+    bump_counter,
     clear_memos,
     replay_counters,
     replay_mode,
@@ -111,16 +114,28 @@ def test_meta_binding_rejected():
 # byte-identity: replay vs lockstep
 
 
-@pytest.mark.parametrize("prefetcher", PREFETCHER_NAMES)
-def test_replay_identical_single_core(prefetcher):
-    workload, _blob, trace = _record()
-    config = SystemConfig(prefetcher=prefetcher)
-    expected = _result(System(workload, config), STEPS, prefetcher)
-    replayed = _result(
-        System(workload, config,
-               replay=TraceReplaySource(workload, trace)),
-        STEPS, prefetcher)
-    assert replayed == expected
+# every data prefetcher on the fused engine, plus the decoupled front
+# end (which the fused engine does not transcribe) on the drop-in
+# replay-source path
+_SINGLE_CORE_CASES = [
+    pytest.param("mcf", SystemConfig(prefetcher=prefetcher), id=prefetcher)
+    for prefetcher in PREFETCHER_NAMES
+] + [
+    pytest.param("nginx", SystemConfig(frontend="ftq",
+                                       iprefetcher=iprefetcher),
+                 id="nginx-ftq-" + iprefetcher)
+    for iprefetcher in ("none", "fdip", "bfetch-i")
+]
+
+
+@pytest.mark.parametrize("bench,config", _SINGLE_CORE_CASES)
+def test_replay_identical_single_core(bench, config):
+    workload, _blob, trace = _record(bench)
+    expected = _result(System(workload, config), STEPS, config.prefetcher)
+    system = System(workload, config,
+                    replay=TraceReplaySource(workload, trace))
+    assert system._fusable(STEPS) == (config.frontend == "off")
+    assert _result(system, STEPS, config.prefetcher) == expected
 
 
 @pytest.mark.parametrize("prefetcher", ["none", "stride", "sms", "bfetch"])
@@ -234,6 +249,29 @@ def test_store_truncated_file_falls_back(tmp_path):
     reset_counters()
     assert store.load(workload, 2_000) is None
     assert replay_counters["fallback"] == 1
+
+
+def test_counters_exact_under_thread_contention():
+    """The job server runs executions on a thread pool; a bare ``+=``
+    on the shared counter dict is a read-modify-write that the
+    interpreter does not promise to run atomically."""
+    threads, per_thread = 8, 10_000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=lambda: [bump_counter("replayed")
+                                             for _ in range(per_thread)])
+            for _ in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert replay_counters["replayed"] == threads * per_thread
 
 
 # ----------------------------------------------------------------------
@@ -443,3 +481,14 @@ def test_cache_stats_and_gc(tmp_path, monkeypatch):
     assert summary["bytes"] > 0
     stats = runner.cache_stats()
     assert all(block["entries"] == 0 for block in stats.values())
+
+
+# ----------------------------------------------------------------------
+# differential fuzzer (fused and drop-in replay vs lockstep)
+
+
+def test_fuzz_smoke(tmp_path):
+    """A short seeded fuzz run -- one plain round, one front-end round,
+    one CMP mix round -- finds no divergence."""
+    assert run_fuzz(seed=5, rounds=3, mix_every=3,
+                    cache_dir=str(tmp_path)) == []
