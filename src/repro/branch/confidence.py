@@ -163,11 +163,21 @@ class CompositeConfidenceEstimator:
         self.selfc = SelfCounterEstimator(entries // 2, counter_bits)
 
     def probability(self, pc, history=0):
-        """Composite P(prediction correct) -- the mean of the components."""
+        """Composite P(prediction correct) -- the mean of the components.
+
+        Reads the three component tables directly rather than calling
+        each component; the sum keeps the component order, so the float
+        result matches summing their ``probability`` values.
+        """
+        jrs = self.jrs
+        updown = self.updown
+        selfc = self.selfc
+        index = pc >> 2
         return (
-            self.jrs.probability(pc, history)
-            + self.updown.probability(pc, history)
-            + self.selfc.probability(pc, history)
+            jrs._prob[jrs.table[(index ^ (history & jrs._hist_mask))
+                                & jrs._mask]]
+            + updown._prob[updown.table[index & updown._mask]]
+            + selfc._prob[selfc.streaks[index & selfc._mask]]
         ) / 3.0
 
     def update(self, pc, history, correct, taken=None):

@@ -73,12 +73,17 @@ class TournamentPredictor:
         (B-Fetch lookahead threading its own history down the predicted
         path).
         """
+        gshare = self.gshare
         if history is None:
-            history = self.gshare.history
-        local_pred = self.local.predict(pc)
-        global_pred = self.gshare.predict(pc, history)
-        use_global = self.chooser[history & self._cmask] >= 2
-        return global_pred if use_global else local_pred
+            history = gshare.history
+        # read only the component the chooser selects, straight from its
+        # tables (GsharePredictor.predict / LocalPredictor.predict)
+        if self.chooser[history & self._cmask] >= 2:
+            return (gshare.table[((pc >> 2) ^ history) & gshare._mask]
+                    >= gshare.threshold)
+        local = self.local
+        pattern = local.histories[(pc >> 2) & local._hmask] & local._pmask
+        return local.counters[pattern] >= local.threshold
 
     def update(self, pc, taken):
         """Train all components with the resolved outcome."""

@@ -42,11 +42,14 @@ class AlternateRegisterFile:
     def sync(self, now):
         """Apply all pending writes whose visibility time has arrived."""
         pending = self._pending
+        seqs = self.seq
+        values = self.values
+        pop = heapq.heappop
         while pending and pending[0][0] <= now:
-            _, seq, reg, value = heapq.heappop(pending)
-            if seq > self.seq[reg]:
-                self.seq[reg] = seq
-                self.values[reg] = value
+            _, seq, reg, value = pop(pending)
+            if seq > seqs[reg]:
+                seqs[reg] = seq
+                values[reg] = value
 
     def read(self, reg):
         """Current ARF value of *reg* (call :meth:`sync` first)."""

@@ -14,6 +14,8 @@ confidence estimator (Section IV-C argues the predictor has the spare
 ports); call :meth:`BFetchPrefetcher.attach` during system assembly.
 """
 
+from heapq import heappush as _heappush
+
 from repro.branch.path_confidence import PathConfidence  # noqa: F401 (API)
 from repro.core.arf import AlternateRegisterFile
 from repro.isa.opcodes import IS_BRANCH as _IS_BRANCH, Op
@@ -24,7 +26,7 @@ from repro.core.config import BFetchConfig
 from repro.core.hashing import bb_hash, load_pc_hash
 from repro.core.mht import MemoryHistoryTable
 from repro.core.perload_filter import PerLoadFilter
-from repro.prefetchers.base import Prefetcher
+from repro.prefetchers.base import _RECENT_BLOCKS, Prefetcher
 
 _MASK64 = (1 << 64) - 1
 
@@ -100,7 +102,9 @@ class BFetchPrefetcher(Prefetcher):
         if rd is not None and rd != 31:
             # value becomes ARF-visible when the writer completes execution;
             # `now` is the core-supplied completion estimate
-            self.arf.write(rd, regs[rd], seq, now)
+            # (AlternateRegisterFile.write, inlined)
+            arf = self.arf
+            _heappush(arf._pending, (now + arf.delay, seq, rd, regs[rd]))
         op = instr.op
         if _IS_BRANCH[op]:
             self._train_branch(instr, taken, next_pc, now)
@@ -125,8 +129,11 @@ class BFetchPrefetcher(Prefetcher):
         # from precise architectural state: training and lookahead must
         # observe the same sampling lag, so the learned Offset absorbs it
         # and the in-flight distance cancels at prefetch time.
-        self.arf.sync(now)
-        self._branch_snapshot = list(self.arf.values)
+        arf = self.arf
+        pending = arf._pending
+        if pending and pending[0][0] <= now:
+            arf.sync(now)
+        self._branch_snapshot = list(arf.values)
         self._bb_primary_ea.clear()
 
     def _train_load(self, instr, ea):
@@ -181,12 +188,22 @@ class BFetchPrefetcher(Prefetcher):
     # lookahead (decode-time)
 
     def on_branch_decode(self, pc, pred_taken, target, now):
-        """Run one lookahead walk starting at the decoded branch."""
+        """Run one lookahead walk starting at the decoded branch.
+
+        One fused pass per walk (Stages 1-3): each step probes the MHT
+        and turns its stable slots into filtered, deduplicated prefetch
+        pushes, then follows the BrTC step record down the predicted
+        direction.  Tables are hoisted once per walk and the counters
+        are kept in locals, written back once at the end.
+        """
         predictor = self.predictor
         if predictor is None:
             raise RuntimeError("BFetchPrefetcher.attach() was never called")
         cfg = self.config
-        self.arf.sync(now)
+        arf = self.arf
+        pending = arf._pending
+        if pending and pending[0][0] <= now:
+            arf.sync(now)
         self.walks += 1
 
         # The walk maintains the multiplicative PaCo path confidence
@@ -194,10 +211,10 @@ class BFetchPrefetcher(Prefetcher):
         # float product instead of an object allocation plus two method
         # calls per walked branch.
         threshold = cfg.path_confidence_threshold
-        probability = self.confidence.probability
+        confidence = self.confidence
         spec_history = predictor.history
         trace = self._trace_bfetch
-        path_value = probability(pc, spec_history)
+        path_value = confidence.probability(pc, spec_history)
         if path_value < threshold:
             self.depth_hist[0] += 1
             if trace is not None:
@@ -214,46 +231,186 @@ class BFetchPrefetcher(Prefetcher):
             next_pc = target
         else:
             next_pc = pc + 4
-        _bb_hash = bb_hash
-        brtc_lookup = self.brtc.lookup
         predict = predictor.predict
-        prefetch_block = self._prefetch_block
+        # per-branch confidence: the composite estimator's three tables,
+        # read inline (CompositeConfidenceEstimator.probability)
+        jrs = confidence.jrs
+        jrs_prob = jrs._prob
+        jrs_table = jrs.table
+        jrs_mask = jrs._mask
+        jrs_hist_mask = jrs._hist_mask
+        updown = confidence.updown
+        updown_prob = updown._prob
+        updown_table = updown.table
+        updown_mask = updown._mask
+        selfc = confidence.selfc
+        selfc_prob = selfc._prob
+        selfc_streaks = selfc.streaks
+        selfc_mask = selfc._mask
         instruction_prefetch = cfg.instruction_prefetch
         max_lookahead = cfg.max_lookahead
-        state_hash = _bb_hash(pc, pred_taken, next_pc)
+        loop_prefetch = cfg.loop_prefetch
+        pattern_prefetch = cfg.pattern_prefetch
+        # BrTC / MHT
+        brtc = self.brtc
+        brtc_mask = brtc._mask
+        brtc_tags = brtc.tags
+        brtc_steps = brtc.steps
+        mht = self.mht
+        mht_mask = mht._mask
+        mht_table = mht.table
+        # per-load filter (Stage 3)
+        pfilter = self.filter
+        use_filter = cfg.use_filter
+        filter_threshold = pfilter.threshold
+        filter_mask = pfilter._mask
+        probe_interval = pfilter.probe_interval
+        since_probe = pfilter._since_probe
+        filter_confidence = pfilter.confidence
+        filter_tables = pfilter.tables
+        three_tables = len(filter_tables) == 3
+        if three_tables:
+            table0, table1, table2 = filter_tables
+        # address generation and the dedup push (Prefetcher.push inlined)
+        arf_values = arf.values
+        block_bytes = self.block_bytes
+        block_mask = ~(block_bytes - 1)
+        block_shift = self.block_shift
+        recent = self._recent
+        recent_limit = _RECENT_BLOCKS
+        move_to_end = recent.move_to_end
+        evict_oldest = recent.popitem
+        queue = self.queue
+        pending_requests = queue._queue
+        queue_capacity = queue.capacity
+        # counters, written back once per walk
+        # (one BrTC and one MHT lookup per step, so lookups == depth)
+        brtc_hits = mht_hits = candidates = passed = blocked = probes = 0
+        duplicate = dropped = 0
+
+        state_hash = bb_hash(pc, pred_taken, next_pc)
         state_tag = pc & 0xFFFFFFFF
         spec_history = (spec_history << 1) | (1 if pred_taken else 0)
-
-        visits = {}
+        path = []  # block hashes walked so far (loop revisit counts)
         depth = 0
         entry_pc = next_pc
         while depth < max_lookahead:
             depth += 1
-            revisit = visits.get(state_hash, 0)
-            visits[state_hash] = revisit + 1
-            prefetch_block(state_hash, state_tag, revisit)
-            step = brtc_lookup(state_hash, state_tag)
-            if step is None:
+            path.append(state_hash)
+            # Stage 2+3: register lookup and prefetch-address calculation
+            entry = mht_table[state_hash & mht_mask]
+            if entry is not None and entry.tag == state_tag:
+                mht_hits += 1
+                revisit = path.count(state_hash) - 1 if loop_prefetch else 0
+                for slot in entry.slots:
+                    if not slot.valid or not slot.stable:
+                        continue
+                    candidates += 1
+                    load_hash = slot.load_hash
+                    if use_filter:
+                        if three_tables:
+                            load_confidence = (
+                                table0[load_hash & filter_mask]
+                                + table1[((load_hash * 0x9E3779B1) >> 6)
+                                         & filter_mask]
+                                + table2[((load_hash * 0x85EBCA6B) >> 3)
+                                         & filter_mask])
+                        else:
+                            load_confidence = filter_confidence(load_hash)
+                        if load_confidence >= filter_threshold:
+                            passed += 1
+                        else:
+                            since_probe += 1
+                            if since_probe >= probe_interval:
+                                since_probe = 0
+                                probes += 1
+                            else:
+                                blocked += 1
+                                continue
+                    ea = arf_values[slot.regidx] + slot.offset
+                    if revisit:
+                        ea += revisit * slot.loopdelta
+                    ea &= _MASK64
+                    if pattern_prefetch and (slot.pospatt or slot.negpatt):
+                        addresses = [ea]
+                        block = ea & block_mask
+                        pattern = slot.pospatt
+                        step = 1
+                        while pattern:
+                            if pattern & 1:
+                                addresses.append(block + step * block_bytes)
+                            pattern >>= 1
+                            step += 1
+                        pattern = slot.negpatt
+                        step = 1
+                        while pattern:
+                            if pattern & 1:
+                                addresses.append(
+                                    (block - step * block_bytes) & _MASK64)
+                            pattern >>= 1
+                            step += 1
+                    else:
+                        addresses = (ea,)
+                    for addr in addresses:
+                        block = addr >> block_shift
+                        if block in recent:
+                            move_to_end(block)
+                            duplicate += 1
+                            continue
+                        recent[block] = True
+                        if len(recent) > recent_limit:
+                            evict_oldest(last=False)
+                        if len(pending_requests) >= queue_capacity:
+                            dropped += 1
+                        else:
+                            pending_requests.append((addr, load_hash))
+            # Stage 1: follow the BrTC down the predicted direction
+            slot_index = state_hash & brtc_mask
+            if brtc_tags[slot_index] != state_tag:
                 break
-            end_pc, end_taken_target = step
+            brtc_hits += 1
+            end_pc, taken_target, taken_hash, not_taken_hash = (
+                brtc_steps[slot_index])
             if instruction_prefetch and end_pc >= entry_pc:
                 self._prefetch_instr_range(entry_pc, end_pc)
             direction = predict(end_pc, spec_history)
-            path_value *= probability(end_pc, spec_history)
+            pc_index = end_pc >> 2
+            path_value *= (
+                jrs_prob[jrs_table[(pc_index ^ (spec_history & jrs_hist_mask))
+                                   & jrs_mask]]
+                + updown_prob[updown_table[pc_index & updown_mask]]
+                + selfc_prob[selfc_streaks[pc_index & selfc_mask]]
+            ) / 3.0
             if path_value < threshold:
                 break
             if direction:
-                if end_taken_target is None:
+                if taken_target is None:
                     break
-                next_pc = end_taken_target
+                next_pc = taken_target
+                state_hash = taken_hash
+                spec_history = (spec_history << 1) | 1
             else:
                 next_pc = end_pc + 4
-            state_hash = _bb_hash(end_pc, direction, next_pc)
+                state_hash = not_taken_hash
+                spec_history <<= 1
             state_tag = end_pc & 0xFFFFFFFF
-            spec_history = (spec_history << 1) | (1 if direction else 0)
             entry_pc = next_pc
         self.total_depth += depth
         self.depth_hist[depth] += 1
+        brtc.lookups += depth
+        brtc.hits += brtc_hits
+        mht.lookups += depth
+        mht.hits += mht_hits
+        self.candidates += candidates
+        self.filtered += blocked
+        pfilter.passed += passed
+        pfilter.blocked += blocked
+        pfilter.probes += probes
+        pfilter._since_probe = since_probe
+        stats = self.stats
+        stats.duplicate += duplicate
+        stats.dropped += dropped
+        queue.drops += dropped
         if trace is not None:
             trace.emit("walk", now, pc=pc, depth=depth,
                        end_pc=next_pc, path_conf=round(path_value, 6))
@@ -270,50 +427,6 @@ class BFetchPrefetcher(Prefetcher):
             self.push_instr(block)
             block += block_bytes
             limit -= 1
-
-    def _prefetch_block(self, state_hash, state_tag, revisit):
-        """Stage 2+3: register lookup and prefetch-address calculation."""
-        entry = self.mht.lookup(state_hash, state_tag)
-        if entry is None:
-            return
-        cfg = self.config
-        block_bytes = self.block_bytes
-        arf_values = self.arf.values
-        push = self.push
-        use_filter = cfg.use_filter
-        filter_allow = self.filter.allow
-        loop_prefetch = cfg.loop_prefetch
-        pattern_prefetch = cfg.pattern_prefetch
-        for slot in entry.slots:
-            if not slot.valid or not slot.stable:
-                continue
-            self.candidates += 1
-            load_hash = slot.load_hash
-            if use_filter and not filter_allow(load_hash):
-                self.filtered += 1
-                continue
-            ea = arf_values[slot.regidx] + slot.offset
-            if loop_prefetch and revisit:
-                ea += revisit * slot.loopdelta
-            ea &= _MASK64
-            push(ea, load_hash)
-            if not pattern_prefetch:
-                continue
-            block = ea & ~(block_bytes - 1)
-            pattern = slot.pospatt
-            step = 1
-            while pattern:
-                if pattern & 1:
-                    push(block + step * block_bytes, load_hash)
-                pattern >>= 1
-                step += 1
-            pattern = slot.negpatt
-            step = 1
-            while pattern:
-                if pattern & 1:
-                    push((block - step * block_bytes) & _MASK64, load_hash)
-                pattern >>= 1
-                step += 1
 
     # ------------------------------------------------------------------
 

@@ -186,9 +186,13 @@ class BFetchIPrefetcher(IPrefetcher):
             next_pc = target
         else:
             next_pc = pc + 4
-        brtc_lookup = self.brtc.lookup
         predict = predictor.predict
         prefetch_range = self._prefetch_instr_range
+        brtc = self.brtc
+        brtc_mask = brtc._mask
+        brtc_tags = brtc.tags
+        brtc_steps = brtc.steps
+        hits = 0  # one BrTC lookup per step: lookups == depth
         spec_history = (spec_history << 1) | (1 if pred_taken else 0)
         state_hash = bb_hash(pc, pred_taken, next_pc)
         state_tag = pc & 0xFFFFFFFF
@@ -196,10 +200,14 @@ class BFetchIPrefetcher(IPrefetcher):
         entry_pc = next_pc
         while depth < self.max_lookahead:
             depth += 1
-            step = brtc_lookup(state_hash, state_tag)
-            if step is None:
+            # the BrTC step record names the next block's hash for either
+            # direction, so walking needs no per-step hashing
+            index = state_hash & brtc_mask
+            if brtc_tags[index] != state_tag:
                 break
-            end_pc, end_taken_target = step
+            hits += 1
+            end_pc, taken_target, taken_hash, not_taken_hash = (
+                brtc_steps[index])
             if end_pc >= entry_pc:
                 prefetch_range(entry_pc, end_pc)
             direction = predict(end_pc, spec_history)
@@ -207,16 +215,20 @@ class BFetchIPrefetcher(IPrefetcher):
             if path_value < threshold:
                 break
             if direction:
-                if end_taken_target is None:
+                if taken_target is None:
                     break
-                next_pc = end_taken_target
+                next_pc = taken_target
+                state_hash = taken_hash
+                spec_history = (spec_history << 1) | 1
             else:
                 next_pc = end_pc + 4
-            state_hash = bb_hash(end_pc, direction, next_pc)
+                state_hash = not_taken_hash
+                spec_history <<= 1
             state_tag = end_pc & 0xFFFFFFFF
-            spec_history = (spec_history << 1) | (1 if direction else 0)
             entry_pc = next_pc
         self.total_depth += depth
+        brtc.lookups += depth
+        brtc.hits += hits
 
     def _prefetch_instr_range(self, start_pc, end_pc):
         """Queue one predicted basic block's instruction blocks."""

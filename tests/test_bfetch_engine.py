@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.branch.confidence import CompositeConfidenceEstimator
+from repro.branch.tournament import TournamentPredictor
 from repro.core import BFetchConfig, BFetchPrefetcher, bb_hash
 from repro.isa import assemble
+from repro.obs import Tracer
 from repro.sim import System, SystemConfig
 from repro.workloads import Workload
 
@@ -132,6 +135,44 @@ def test_lookahead_requires_attach():
     pf = BFetchPrefetcher()
     with pytest.raises(RuntimeError):
         pf.on_branch_decode(0x1000, True, 0x2000, 0)
+
+
+def attached_engine(**config):
+    """A bare engine on fresh Table II predictor/confidence tables, with
+    its walk events traced.  The fresh composite confidence is about
+    0.74 per branch, so a 0.5 threshold admits the first two steps."""
+    pf = BFetchPrefetcher(BFetchConfig(path_confidence_threshold=0.5,
+                                       **config))
+    pf.attach(TournamentPredictor(), CompositeConfidenceEstimator())
+    tracer = Tracer({"bfetch": 1.0})
+    pf.bind_tracer(tracer)
+    return pf, tracer
+
+
+def test_indirect_branch_without_target_ends_at_depth_zero():
+    pf, tracer = attached_engine()
+    pf.on_branch_decode(0x1000, True, None, 0)
+    assert pf.walks == 1 and pf.depth_hist[0] == 1
+    assert pf.total_depth == 0 and pf.brtc.lookups == 0
+    assert tracer.events[-1]["end"] == "indirect_unknown"
+
+
+def test_taken_step_without_brtc_target_stops_walk():
+    # a fresh tournament predictor predicts every branch taken
+    pf, tracer = attached_engine()
+    entered = bb_hash(0x1000, False, 0x1004)
+    pf.brtc.update(entered, 0x1000, 0x1040, None)
+    pf.on_branch_decode(0x1000, False, None, 0)
+    assert pf.depth_hist[1] == 1
+    assert (pf.brtc.lookups, pf.brtc.hits) == (1, 1)
+    assert tracer.events[-1]["end_pc"] == 0x1004
+    # with the target known, the same walk takes a second step (and
+    # stops there on a BrTC miss)
+    pf.brtc.update(entered, 0x1000, 0x1040, 0x2000)
+    pf.on_branch_decode(0x1000, False, None, 0)
+    assert pf.depth_hist[2] == 1
+    assert (pf.brtc.lookups, pf.brtc.hits) == (3, 2)
+    assert tracer.events[-1]["end_pc"] == 0x2000
 
 
 HASHY = """

@@ -1,5 +1,7 @@
 """B-Fetch structures: ARF, BrTC, MHT, per-load filter, hashing."""
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -95,6 +97,61 @@ class TestBrTC:
         brtc.update(h, 0x100, 0x240, 0x300)
         brtc.lookup(h, 0x100)
         assert brtc.hit_rate == pytest.approx(0.5)
+
+    def test_step_record_hashes_both_directions(self):
+        brtc = BranchTraceCache(entries=64)
+        h = bb_hash(0x100, True, 0x200)
+        brtc.update(h, 0x100, 0x240, 0x300)
+        assert brtc.steps[h & 63] == (
+            0x240, 0x300,
+            bb_hash(0x240, True, 0x300),
+            bb_hash(0x240, False, 0x244),
+        )
+
+    def test_step_record_without_taken_target(self):
+        brtc = BranchTraceCache(entries=64)
+        h = bb_hash(0x100, False, 0x104)
+        brtc.update(h, 0x100, 0x240, None)  # indirect, never seen taken
+        assert brtc.steps[h & 63] == (
+            0x240, None, None, bb_hash(0x240, False, 0x244))
+
+    def test_known_target_kept_in_step_record(self):
+        brtc = BranchTraceCache(entries=64)
+        h = bb_hash(0x100, True, 0x200)
+        brtc.update(h, 0x100, 0x240, 0x300)
+        brtc.update(h, 0x100, 0x240, None)
+        assert brtc.steps[h & 63][1:3] == (0x300, bb_hash(0x240, True, 0x300))
+        # a different end branch replaces the record, target and all
+        brtc.update(h, 0x100, 0x280, None)
+        assert brtc.steps[h & 63] == (
+            0x280, None, None, bb_hash(0x280, False, 0x284))
+
+    def test_snapshot_restore_rebuilds_step_records(self):
+        brtc = BranchTraceCache(entries=16)
+        for pc, target in ((0x100, 0x300), (0x140, None), (0x180, 0x1C0)):
+            brtc.update(bb_hash(pc, True, pc + 0x40), pc, pc + 0x20, target)
+        brtc.lookup(bb_hash(0x100, True, 0x140), 0x100)
+        state = json.loads(json.dumps(brtc.snapshot()))
+        restored = BranchTraceCache(entries=16)
+        restored.restore(state)
+        assert restored.steps == brtc.steps
+        assert restored.tags == brtc.tags
+        assert (restored.lookups, restored.hits) == (1, 1)
+
+    def test_snapshot_format_unchanged(self):
+        """The checkpoint JSON keeps its per-field lists, byte for byte:
+        empty slots read as end PC 0 and no target."""
+        brtc = BranchTraceCache(entries=4)
+        brtc.update(1, 0x100, 0x240, 0x300)
+        brtc.update(2, 0x140, 0x280, None)
+        expected = {
+            "tags": [None, 0x100, 0x140, None],
+            "end_branch_pc": [0, 0x240, 0x280, 0],
+            "end_taken_target": [None, 0x300, None, None],
+            "lookups": 0,
+            "hits": 0,
+        }
+        assert json.dumps(brtc.snapshot()) == json.dumps(expected)
 
 
 class TestMHT:

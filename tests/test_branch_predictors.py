@@ -1,5 +1,7 @@
 """Direction predictors: bimodal, gshare, local, tournament."""
 
+import random
+
 import pytest
 
 from repro.branch import (
@@ -111,3 +113,20 @@ def test_storage_bits_positive_and_scale_monotonic():
     ]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
     assert sizes[0] > 0
+
+
+def test_tournament_predict_matches_chooser_over_components():
+    """The flat tournament read returns the component the chooser picks,
+    for the live history and for speculative histories alike."""
+    rng = random.Random(11)
+    p = TournamentPredictor(TournamentConfig(scale=0.25))
+    for _ in range(3000):
+        p.update(rng.randrange(0, 1 << 10) << 2, rng.random() < 0.6)
+    for _ in range(3000):
+        pc = rng.randrange(0, 1 << 10) << 2
+        for history in (None, rng.randrange(1 << 20)):
+            live = p.gshare.history if history is None else history
+            expected = (p.gshare.predict(pc, live)
+                        if p.chooser[live & p._cmask] >= 2
+                        else p.local.predict(pc))
+            assert p.predict(pc, history) == expected

@@ -1,5 +1,7 @@
 """Confidence estimators and path confidence."""
 
+import random
+
 import pytest
 
 from repro.branch import (
@@ -96,3 +98,23 @@ def test_path_confidence_depth_at_threshold():
     while path.confident:
         path.extend(0.97)
     assert 7 <= path.depth <= 11
+
+
+def test_composite_matches_component_mean_bit_for_bit():
+    """The flat composite read keeps the component sum order, so the path
+    products the lookahead builds from it are unchanged."""
+    import random
+    rng = random.Random(7)
+    c = CompositeConfidenceEstimator(entries=64)
+    for _ in range(2000):
+        pc = rng.randrange(0, 1 << 12) << 2
+        c.update(pc, rng.randrange(1 << 12), rng.random() < 0.8,
+                 rng.random() < 0.5)
+    for _ in range(2000):
+        pc = rng.randrange(0, 1 << 12) << 2
+        history = rng.randrange(1 << 20)
+        assert c.probability(pc, history) == (
+            c.jrs.probability(pc, history)
+            + c.updown.probability(pc, history)
+            + c.selfc.probability(pc, history)
+        ) / 3.0
