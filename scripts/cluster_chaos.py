@@ -16,7 +16,7 @@ whole 50-job sweep.  The drill asserts the ISSUE acceptance bar:
   kill-interrupted shards resumed from the cache checkpoint and
   converged;
 * **chaos actually happened** -- ``serve.cluster.nodes_lost`` and
-  ``serve.cluster.requeues`` are non-zero (a chaos drill where nothing
+  ``serve.fleet.requeues`` are non-zero (a chaos drill where nothing
   dies proves nothing).
 
 Run from the repo root::
@@ -139,7 +139,7 @@ def main():
     assert stats["serve.jobs.completed"] == len(grid), stats
     assert cluster_stats["serve.cluster.nodes_lost"] > 0, \
         "chaos drill killed no nodes: %s" % cluster_stats
-    assert cluster_stats["serve.cluster.requeues"] > 0, cluster_stats
+    assert cluster_stats["serve.fleet.requeues"] > 0, cluster_stats
     assert cluster_stats["serve.cluster.nodes_joined"] >= NODES, \
         cluster_stats
     print("%d jobs, zero lost, byte-identical to serial reference"

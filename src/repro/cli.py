@@ -13,15 +13,16 @@ Commands
                machine-readable catalog the job server also exposes)
 ``serve``      long-lived job server (submit/status/result/cancel/stream
                over length-prefixed JSON frames; see docs/serving.md);
-               ``--workers N`` runs a supervised subprocess fleet with
-               heartbeat liveness + worker-loss requeue (docs/fleet.md)
+               ``--workers N`` runs jobs on N supervised worker
+               subprocesses (heartbeat liveness, loss requeue) and
+               ``--cluster`` adds remote nodes (docs/cluster.md)
 ``submit``     submit a run or sweep to a running server and (by
                default) wait for results, streaming progress;
                ``--deadline-ms`` sheds late jobs, ``--busy-retries``
                retries busy-class rejections with deterministic backoff
 ``jobs``       list a server's jobs; ``--stats`` dumps its ``serve.*``
-               metrics registry; ``--workers`` shows the fleet +
-               breaker states
+               metrics registry; ``--workers`` shows the worker/node
+               rows + breaker states
 ``bench-perf`` perf micro-harness (simulated instr/sec, BENCH_*.json)
 ``cache``      result/trace cache maintenance (``--stats`` per-kind
                totals, ``--gc --older-than AGE`` safe eviction)
@@ -533,7 +534,6 @@ def cmd_serve(args):
             workers=args.workers, beat_interval=args.beat_interval,
             cluster=(True if args.cluster else None),
             cluster_max_local=args.cluster_max_local,
-            cluster_min_local=args.cluster_min_local,
             peer_port=args.peer_port, shard_tasks=args.shard_tasks,
         )
         await server.start()
@@ -949,38 +949,33 @@ def build_parser():
                             "get a typed 'busy' error (default: 64)")
     serve.add_argument("--max-concurrent", type=_positive_int, default=2,
                        help="jobs executing simultaneously (default: 2; "
-                            "ignored with --workers)")
+                            "at least N with --workers N)")
     serve.add_argument("--workers", type=int, default=None,
                        metavar="N",
-                       help="run N supervised worker subprocesses with "
-                            "heartbeat liveness + loss requeue (default: "
-                            "REPRO_WORKERS or 0 = in-process tier)")
+                       help="run jobs on N supervised worker subprocesses "
+                            "(heartbeat liveness, loss requeue, shard "
+                            "scheduling; N is also the autoscaler floor) "
+                            "(default: REPRO_WORKERS or 0 = in-process "
+                            "tier)")
     serve.add_argument("--beat-interval", type=_positive_float,
                        default=1.0, metavar="SECONDS",
-                       help="fleet worker heartbeat period (default: 1)")
+                       help="worker heartbeat period (default: 1)")
     serve.add_argument("--cluster", action="store_true",
-                       help="run as a cluster coordinator: adopt remote "
-                            "'repro node' workers, shard jobs with work "
-                            "stealing, autoscale local workers, export "
-                            "the cache over the cache-peer protocol "
-                            "(REPRO_CLUSTER=1 works too; --workers sets "
-                            "the initial local worker count)")
+                       help="also accept remote 'repro node' workers and "
+                            "export the cache over the cache-peer "
+                            "protocol (REPRO_CLUSTER=1 works too)")
     serve.add_argument("--cluster-max-local", type=_positive_int,
                        default=4, metavar="N",
-                       help="autoscaler ceiling for local workers in "
-                            "cluster mode (default: 4)")
-    serve.add_argument("--cluster-min-local", type=int, default=0,
-                       metavar="N",
-                       help="autoscaler floor for local workers in "
-                            "cluster mode (default: 0)")
+                       help="autoscaler ceiling for local workers "
+                            "(default: 4)")
     serve.add_argument("--peer-port", type=int, default=0,
                        metavar="PORT",
                        help="cache-peer listener port in cluster mode "
                             "(default: 0 = ephemeral)")
     serve.add_argument("--shard-tasks", type=_positive_int, default=None,
                        metavar="N",
-                       help="fixed shard size in cluster mode (default: "
-                            "auto from live member count)")
+                       help="fixed shard size with --workers/--cluster "
+                            "(default: auto from live member count)")
     serve.add_argument("--batch-jobs", type=_positive_int, default=1,
                        help="worker processes per job batch "
                             "(default: 1 = in-thread serial)")

@@ -522,7 +522,7 @@ def bench_load(requests=10_000, clients=32, instructions=2_000,
                 else None
             ),
             "steals": stats.get("serve.cluster.steals"),
-            "requeues": stats.get("serve.cluster.requeues"),
+            "requeues": stats.get("serve.fleet.requeues"),
             "replayed": stats.get("serve.cluster.replayed"),
             "nodes_lost": stats.get("serve.cluster.nodes_lost"),
             "degraded_transitions": stats.get(

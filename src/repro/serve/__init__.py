@@ -13,20 +13,17 @@ service:
   tests and the ``repro submit`` / ``repro jobs`` CLI.
 * :class:`ServerThread` -- run a server on a background thread with
   its own event loop (tests, benchmarks, notebooks).
-* :class:`WorkerSupervisor` -- the fleet backend (``--workers N``):
-  supervised worker subprocesses with heartbeat liveness, respawn
-  under deterministic backoff, and worker-loss requeue
-  (``docs/fleet.md``).
+* :class:`ClusterSupervisor` -- the one subprocess scheduler.
+  ``--workers N`` runs N supervised local worker subprocesses
+  (heartbeat liveness, respawn under deterministic backoff, loss
+  requeue); ``--cluster`` adds remote worker nodes (``repro node
+  --connect``) and a replicated content-addressed cache tier
+  (:class:`CachePeerServer` / :class:`PeerSet`).  Jobs are sharded
+  across members with work stealing (``docs/cluster.md``).
 * :class:`BreakerBoard` -- per-benchmark circuit breakers shedding
   persistently-failing workloads with typed ``circuit-open`` errors.
-* :class:`ClusterSupervisor` -- the cluster backend (``--cluster``):
-  remote worker nodes (``repro node --connect``), a replicated
-  content-addressed cache tier (:class:`CachePeerServer` /
-  :class:`PeerSet`), shard scheduling with work stealing, and
-  degraded-mode fallback (``docs/cluster.md``).
 
-See ``docs/serving.md``, ``docs/fleet.md`` and ``docs/cluster.md``
-for worked examples.
+See ``docs/serving.md`` and ``docs/cluster.md`` for worked examples.
 """
 
 from repro.serve.breaker import BreakerBoard, CircuitBreaker
@@ -34,11 +31,11 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.cluster import (
     CachePeerServer,
     ClusterSupervisor,
+    DeadlineExceeded,
     NodeAgent,
     NodeHandle,
     PeerSet,
 )
-from repro.serve.fleet import DeadlineExceeded, WorkerSupervisor
 from repro.serve.health import WorkerHealth
 from repro.serve.jobs import Job, JobTable
 from repro.serve.metrics import ServeMetrics
@@ -83,7 +80,6 @@ __all__ = [
     "WorkerHealth",
     "WorkerLost",
     "WorkerProcess",
-    "WorkerSupervisor",
     "WorkerTier",
     "decode_payload",
     "encode_frame",

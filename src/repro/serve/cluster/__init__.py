@@ -1,6 +1,6 @@
-"""Cluster tier: remote nodes, replicated cache, work-stealing.
+"""The subprocess scheduler: local workers, remote nodes, replicated cache.
 
-Layered on the PR 7 serving tier:
+Layered on the serving tier (:mod:`repro.serve.server`):
 
 * :mod:`~repro.serve.cluster.cas` -- content-addressed cache-peer
   protocol (:class:`CachePeerServer` exports a cache directory over
@@ -12,12 +12,13 @@ Layered on the PR 7 serving tier:
   coordinator, executes shards, and rides out partitions by finishing
   work into its local cache and replaying on reconnect;
 * :mod:`~repro.serve.cluster.remote` -- :class:`NodeHandle`, the
-  coordinator-side handle presenting the local-worker execute
-  contract over the wire;
+  coordinator-side handle sharing the local workers' ``execute`` loop
+  over the wire;
 * :mod:`~repro.serve.cluster.supervisor` --
-  :class:`ClusterSupervisor`, the mixed local/remote scheduler with
-  shard scatter, work stealing, autoscaling admission and typed
-  degraded modes.
+  :class:`ClusterSupervisor`, the one subprocess scheduler (``repro
+  serve --workers N`` and ``--cluster``) with shard scatter, work
+  stealing, loss requeue, autoscaling admission and typed degraded
+  modes.
 """
 
 from repro.serve.cluster.cas import (
@@ -33,12 +34,16 @@ from repro.serve.cluster.node import (
     spawn_node,
 )
 from repro.serve.cluster.remote import NodeHandle
-from repro.serve.cluster.supervisor import ClusterSupervisor
+from repro.serve.cluster.supervisor import (
+    ClusterSupervisor,
+    DeadlineExceeded,
+)
 
 __all__ = [
     "CachePeerServer",
     "ClusterSupervisor",
     "DEFAULT_REPLICAS",
+    "DeadlineExceeded",
     "NodeAgent",
     "NodeHandle",
     "PeerSet",

@@ -2,8 +2,9 @@
 partitions.
 
 ``repro node --connect host:port`` runs one :class:`NodeAgent` -- the
-multi-host sibling of the PR 7 fleet worker (:mod:`repro.serve
-.supervisor`).  The frame grammar is identical (``job`` in;
+multi-host sibling of the local worker subprocess (:mod:`repro.serve
+.supervisor`).  The frame grammar and the job body
+(:func:`~repro.serve.supervisor.run_job_frame`) are shared (``job`` in;
 ``beat``/``progress``/``result``/``job-error`` out) but the transport
 is a TCP connection to the coordinator's serve port, opened with a
 ``node-hello`` frame, instead of an inherited stdio pipe.  On the
@@ -40,7 +41,7 @@ import sys
 import threading
 import time
 
-from repro.resilience import FailurePolicy, SimulationError, backoff_delay
+from repro.resilience import FailurePolicy, backoff_delay
 from repro.resilience.faults import CRASH_EXIT_CODE, get_fault_plan
 from repro.serve import protocol
 from repro.serve.cluster.cas import (
@@ -50,6 +51,7 @@ from repro.serve.cluster.cas import (
 )
 from repro.serve.health import DEFAULT_BEAT_INTERVAL
 from repro.serve.protocol import ProtocolError
+from repro.serve.supervisor import run_job_frame
 
 #: reconnect attempts before the node gives up and exits
 DEFAULT_RECONNECT_ATTEMPTS = 20
@@ -58,10 +60,6 @@ DEFAULT_RECONNECT_ATTEMPTS = 20
 RECONNECT_POLICY = FailurePolicy(retries=0, backoff_base=0.1,
                                  backoff_factor=2.0, backoff_max=5.0,
                                  jitter=0.5, seed=0)
-
-
-class _DeadlineHit(Exception):
-    """Raised inside the node's batch when the shard's deadline passes."""
 
 
 class NodeAgent(object):
@@ -164,75 +162,6 @@ class NodeAgent(object):
         if self._conn_ok and plan.should_host_partition(key, attempt):
             self._partition()
 
-    # -- shard execution -----------------------------------------------
-
-    def run_job(self, frame):
-        from repro.sim.runner import RunRequest
-
-        job = frame["job"]
-        job_id = job["id"]
-        job_key = job["key"]
-        attempt = int(job.get("attempt", 0))
-        remaining = job.get("deadline")
-        deadline_at = (time.monotonic() + remaining
-                       if remaining is not None else None)
-        try:
-            requests = [RunRequest(*fields) for fields in job["requests"]]
-            policy = FailurePolicy(**(job.get("policy") or {}))
-        except (TypeError, ValueError) as exc:
-            self._send({"type": "job-error", "job_id": job_id,
-                        "error_type": type(exc).__name__,
-                        "message": "bad job frame: %s" % exc,
-                        "attempts": 0})
-            return
-        if deadline_at is not None and remaining <= 0:
-            self._send({"type": "job-error", "job_id": job_id,
-                        "code": "deadline-exceeded",
-                        "error_type": "DeadlineExceeded",
-                        "message": "deadline expired before execution",
-                        "attempts": 0})
-            return
-        self._fault_point(job_key, attempt, "start")
-
-        def progress(done, total):
-            # fault first so an injected kill never reports work it is
-            # about to lose; a partition keeps computing but reports
-            # nothing (the _send below becomes a no-op)
-            self._fault_point(job_key, attempt, "t%d" % done)
-            if deadline_at is not None and time.monotonic() > deadline_at:
-                raise _DeadlineHit(job_id)
-            self._send({"type": "progress", "job_id": job_id,
-                        "done": done, "total": total})
-
-        try:
-            results, report = self.runner.run_batch(
-                requests, jobs=self.batch_jobs, policy=policy,
-                progress=progress,
-            )
-        except _DeadlineHit:
-            self._send({"type": "job-error", "job_id": job_id,
-                        "code": "deadline-exceeded",
-                        "error_type": "DeadlineExceeded",
-                        "message": "deadline expired at a task boundary "
-                                   "(completed work is checkpointed)",
-                        "attempts": attempt + 1})
-            return
-        except SimulationError as exc:
-            self._send({"type": "job-error", "job_id": job_id,
-                        "error_type": type(exc).__name__,
-                        "message": str(exc),
-                        "attempts": getattr(exc, "attempts", 0)})
-            return
-        except Exception as exc:  # noqa: BLE001 - node must report, not die
-            self._send({"type": "job-error", "job_id": job_id,
-                        "error_type": type(exc).__name__,
-                        "message": str(exc), "attempts": attempt + 1})
-            return
-        payload = [None if result is None else result.as_dict()
-                   for result in results]
-        self._send({"type": "result", "job_id": job_id,
-                    "payload": payload, "report": report.as_dict()})
-
     # -- connection lifecycle ------------------------------------------
 
     def _hello(self):
@@ -314,7 +243,8 @@ class NodeAgent(object):
             if kind == "shutdown":
                 return "shutdown"
             if kind == "job":
-                self.run_job(frame)
+                run_job_frame(self.runner, frame, self._send,
+                              self._fault_point, self.batch_jobs)
                 if not self._conn_ok:
                     # partitioned mid-shard: the work is in the local
                     # cache; resync via reconnect + replay

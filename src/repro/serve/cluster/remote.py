@@ -1,10 +1,11 @@
 """Coordinator-side handle on one remote worker node.
 
 A :class:`NodeHandle` wraps the asyncio ``(reader, writer)`` pair of an
-adopted ``node-hello`` connection and presents the *same execute
-contract* as :class:`~repro.serve.supervisor.WorkerProcess` -- the
-cluster supervisor schedules local subprocesses and remote nodes
-through one code path.  Differences from a local worker:
+adopted ``node-hello`` connection and shares the one ``execute`` loop
+of :class:`~repro.serve.supervisor.Member` with
+:class:`~repro.serve.supervisor.WorkerProcess` -- the cluster
+supervisor schedules local subprocesses and remote nodes through one
+code path.  Differences from a local worker:
 
 * liveness is heartbeat-over-TCP (same
   :class:`~repro.serve.health.WorkerHealth` missed-beat detector);
@@ -20,17 +21,16 @@ import asyncio
 import time
 
 from repro.serve import protocol
-from repro.serve.health import WorkerHealth
 from repro.serve.protocol import ProtocolError
+from repro.serve.supervisor import Member
 
 
-class NodeHandle(object):
+class NodeHandle(Member):
     """One adopted remote node connection (coordinator side)."""
-
-    kind = "node"
 
     def __init__(self, name, reader, writer, hello, beat_interval=1.0,
                  max_missed=4, on_lost=None):
+        super(NodeHandle, self).__init__(beat_interval, max_missed, "idle")
         self.name = name
         self.host = hello.get("host") or "?"
         self.pid = hello.get("pid")
@@ -38,10 +38,6 @@ class NodeHandle(object):
         peer_port = hello.get("peer_port")
         self.peer_addr = ((str(peer_host), int(peer_port))
                           if peer_port else None)
-        self.health = WorkerHealth(beat_interval, max_missed)
-        self.state = "idle"
-        self.current_job = None
-        self.jobs_done = 0
         self.steals = 0
         self.rtt = None          # seconds, last ping echo
         self.peer_stats = {}     # node's PeerSet counters, last beat
@@ -109,7 +105,12 @@ class NodeHandle(object):
         return self._open and self.state not in ("dead", "stopped")
 
     def close(self):
-        """Drop the connection (the node reconnects on its own)."""
+        """Drop the connection (the node reconnects on its own).
+
+        This is also the mid-shard abort: the node treats it as a
+        partition, finishes the shard into its local cache (harmless:
+        first write wins) and reconnects.
+        """
         self._open = False
         if self.state != "stopped":
             self.state = "dead"
@@ -117,6 +118,13 @@ class NodeHandle(object):
             self._writer.close()
         except (OSError, RuntimeError):
             pass
+
+    abort = close
+
+    def lost_reason(self, eof=False):
+        if eof:
+            return "connection EOF"
+        return None if self._open else "connection dropped"
 
     async def request_shutdown(self):
         """Graceful node shutdown (drain path): the node exits 0."""
@@ -130,70 +138,6 @@ class NodeHandle(object):
                 await self._reader_task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
-
-    # -- shard execution -----------------------------------------------
-
-    async def execute(self, job, attempt, policy_fields=None,
-                      on_progress=None, poll_interval=0.05):
-        """Run *job* (a shard) on this node; ``(outcome, detail)``.
-
-        Same outcome contract as
-        :meth:`~repro.serve.supervisor.WorkerProcess.execute`:
-        ``done`` / ``error`` / ``cancelled`` / ``lost``.  A cancel
-        closes the connection -- the node treats it as a partition,
-        finishes the shard into its local cache (harmless: first write
-        wins) and reconnects.
-        """
-        remaining = None
-        if job.deadline is not None:
-            remaining = max(0.0, job.deadline - time.monotonic())
-        self.state = "busy"
-        self.current_job = job.id
-        self.health.reset()
-        sent = await self.send({"type": "job", "job": {
-            "id": job.id, "key": job.key, "attempt": attempt,
-            "deadline": remaining,
-            "requests": [list(request) for request in job.requests],
-            "policy": policy_fields or {},
-        }})
-        if not sent:
-            self.close()
-            self.current_job = None
-            return "lost", "send failed"
-        try:
-            while True:
-                try:
-                    frame = await asyncio.wait_for(self._frames.get(),
-                                                   poll_interval)
-                except asyncio.TimeoutError:
-                    if job.cancel_requested:
-                        self.close()
-                        return "cancelled", None
-                    if not self._open:
-                        return "lost", "connection dropped"
-                    if self.health.dead():
-                        self.close()
-                        return "lost", ("no heartbeat for %d intervals"
-                                        % self.health.max_missed)
-                    continue
-                if frame is None:
-                    return "lost", "connection EOF"
-                kind = frame.get("type")
-                if kind == "progress" and frame.get("job_id") == job.id:
-                    if on_progress is not None:
-                        on_progress(job, frame.get("done", 0),
-                                    frame.get("total", job.done_total))
-                elif kind == "result" and frame.get("job_id") == job.id:
-                    self.jobs_done += 1
-                    return "done", (frame.get("payload"),
-                                    frame.get("report") or {})
-                elif kind == "job-error" and frame.get("job_id") == job.id:
-                    return "error", frame
-                # stale frames from a previous assignment are dropped
-        finally:
-            self.current_job = None
-            if self.state == "busy":
-                self.state = "idle"
 
     # -- observability -------------------------------------------------
 

@@ -1,10 +1,13 @@
-"""Cluster supervisor: mixed local/remote scheduling with work-stealing.
+"""The subprocess scheduler: local workers, remote nodes, work stealing.
 
-:class:`ClusterSupervisor` is the cluster-tier drop-in for the PR 7
-:class:`~repro.serve.fleet.WorkerSupervisor`: the server calls the same
-``run_job(loop, job, progress_cb)`` coroutine, but the member pool now
-mixes *local worker subprocesses* (:class:`WorkerProcess`) and *remote
-nodes* (:class:`NodeHandle`) behind one duck-typed execute contract.
+:class:`ClusterSupervisor` is the server's executor whenever jobs run
+outside the server process (``repro serve --workers N`` and/or
+``--cluster``); it is the drop-in for the in-process
+:class:`~repro.serve.workers.WorkerTier`: the server calls the same
+``run_job(loop, job, progress_cb)`` coroutine.  Its member pool mixes
+*local worker subprocesses* (:class:`WorkerProcess`) and, with
+``--cluster``, *remote nodes* (:class:`NodeHandle`); both share the one
+``execute`` loop of :class:`~repro.serve.supervisor.Member`.
 
 Scheduling is **shard scatter + run-sheet pull + work stealing**:
 
@@ -17,17 +20,25 @@ Scheduling is **shard scatter + run-sheet pull + work stealing**:
   a content-addressed cache keyed by the request digest, writes are
   atomic, and first write wins -- and results stay byte-identical
   because the simulation is deterministic;
-* a member dying mid-shard requeues the shard (``attempt + 1``) onto
-  the sheet, exactly the PR 7 requeue-on-death semantics, now spanning
-  hosts.
+* a member dying mid-shard (crash, hang, lost link) requeues the shard
+  (``attempt + 1``) onto the sheet.  Every completed task is persisted
+  in the shared result cache and the lethal chaos verbs fire only on
+  ``attempt == 0``, so the re-execution resumes from the kill point and
+  converges byte-identically to the serial reference;
+* dead local workers respawn under the deterministic exponential
+  backoff of :mod:`repro.resilience.retry` (keyed by worker slot), so a
+  crash-looping pool cannot hot-spin.
 
 Availability machinery:
 
 * **autoscaling admission** -- a queue-depth probe wired to the
   admission queue's high-water mark spawns extra local workers under
-  backlog and retires them when the queue drains (bounded by
-  ``min_local``/``max_local``);
-* **degraded mode** -- with zero live nodes the cluster *is* the PR 7
+  backlog and retires (and reaps) them when the queue drains (bounded
+  by ``min_local``/``max_local``);
+* **deadlines** -- a job whose ``deadline_ms`` expired while queued or
+  between requeues raises :class:`DeadlineExceeded` instead of burning
+  a member on an answer nobody is waiting for;
+* **degraded mode** -- with zero live nodes the cluster is a purely
   local fleet: the typed ``serve.cluster.degraded`` gauge flips to 1,
   a ``degraded_transitions`` counter ticks on each node-loss edge, and
   an emergency local worker is spawned if the member pool ever hits
@@ -55,11 +66,6 @@ from repro.serve.cluster.cas import (
     _valid_relpath,
 )
 from repro.serve.cluster.remote import NodeHandle
-from repro.serve.fleet import (
-    DEFAULT_MAX_REQUEUES,
-    DeadlineExceeded,
-    RESPAWN_POLICY,
-)
 from repro.serve.supervisor import WorkerLost, WorkerProcess
 from repro.serve.workers import JobCancelled
 
@@ -74,12 +80,26 @@ DEFAULT_SCALE_INTERVAL = 0.5
 #: consecutive idle autoscaler ticks before a surplus local is retired
 IDLE_TICKS_TO_RETIRE = 6
 
+#: requeues tolerated per shard before the job is failed outright
+#: (defensive: lethal faults fire only on attempt 0, so >1 losses means
+#: real, persistent trouble -- a poisoned host, an OOM-killer sweep)
+DEFAULT_MAX_REQUEUES = 4
+
+#: backoff schedule for respawning dead local workers (keyed per slot)
+RESPAWN_POLICY = FailurePolicy(retries=0, backoff_base=0.05,
+                               backoff_factor=2.0, backoff_max=2.0,
+                               jitter=0.5, seed=0)
+
+
+class DeadlineExceeded(Exception):
+    """The job's deadline expired before (or between) execution."""
+
 
 class _Shard(object):
     """Job-like proxy for one contiguous slice of a job's requests.
 
     Quacks enough like a :class:`~repro.serve.jobs.Job` for
-    ``WorkerProcess.execute`` / ``NodeHandle.execute``: ``id``, ``key``,
+    :meth:`~repro.serve.supervisor.Member.execute`: ``id``, ``key``,
     ``requests``, ``deadline``, ``done_total`` and a
     ``cancel_requested`` that delegates to the parent job.  The key is
     deterministic (parent key + ordinal), so chaos verbs keyed on it
@@ -111,8 +131,9 @@ class ClusterSupervisor(object):
     """Owns local workers + adopted remote nodes; schedules shards.
 
     :param cache_dir: the coordinator's result cache -- shared with
-        local workers on disk and exported to nodes through the
-        cache-peer tier.
+        local workers on disk (it is also the requeue checkpoint) and,
+        with a *peer_port*, exported to nodes through the cache-peer
+        tier.
     :param runner: the server's :class:`ExperimentRunner` (used to fold
         node-computed results into the coordinator cache).
     :param local_workers: local subprocess workers started up front.
@@ -126,6 +147,9 @@ class ClusterSupervisor(object):
         (shards fan wider through the shared member pool).
     :param shard_tasks: fixed shard size (None = auto by live members,
         capped at :data:`MAX_SHARD_TASKS`).
+    :param peer_port: cache-peer listener port (0 = ephemeral); None
+        starts no listener -- a scheduler that adopts no nodes exports
+        nothing.
     :param on_degraded: callback ``fn(live_nodes)`` fired on every
         cluster-degraded transition (the server traces it).
     """
@@ -140,7 +164,7 @@ class ClusterSupervisor(object):
                  scale_interval=DEFAULT_SCALE_INTERVAL,
                  dispatch_width=4, shard_tasks=None,
                  steal_min_age=0.5,
-                 peer_host="127.0.0.1", peer_port=0,
+                 peer_host="127.0.0.1", peer_port=None,
                  peer_max_entries=None, replicas=DEFAULT_REPLICAS,
                  on_degraded=None):
         if local_workers < 0:
@@ -166,14 +190,13 @@ class ClusterSupervisor(object):
         self.steal_min_age = steal_min_age
         self.replicas = replicas
         self.on_degraded = on_degraded
-        self.locals = [
-            self._new_local() for _ in range(local_workers)
-        ]
+        self.locals = [self._new_local(index)
+                       for index in range(local_workers)]
         self.nodes = {}            # name -> NodeHandle
         self.peer_server = (CachePeerServer(
             cache_dir, host=peer_host, port=peer_port,
             max_entries=peer_max_entries,
-        ) if cache_dir else None)
+        ) if cache_dir and peer_port is not None else None)
         self._next_local_id = local_workers
         self._idle = None          # asyncio.Queue of members
         self._loop = None
@@ -185,9 +208,7 @@ class ClusterSupervisor(object):
         self._scaler = None
         self._node_seq = 0
 
-    def _new_local(self, worker_id=None):
-        if worker_id is None:
-            worker_id = len(self.locals) if hasattr(self, "locals") else 0
+    def _new_local(self, worker_id):
         return WorkerProcess(
             worker_id, cache_dir=self.cache_dir,
             beat_interval=self.beat_interval, max_missed=self.max_missed,
@@ -222,19 +243,8 @@ class ClusterSupervisor(object):
             handle.close()
             await handle.reap()
         self.nodes.clear()
-        await asyncio.gather(*(worker.request_shutdown()
+        await asyncio.gather(*(worker.stop(timeout)
                                for worker in self.locals))
-        deadline = time.monotonic() + timeout
-        for worker in self.locals:
-            proc = worker._proc
-            if proc is not None and proc.returncode is None:
-                remaining = max(0.1, deadline - time.monotonic())
-                try:
-                    await asyncio.wait_for(proc.wait(), remaining)
-                except asyncio.TimeoutError:
-                    worker.kill()
-            await worker.reap()
-            worker.state = "stopped"
         if self.peer_server is not None:
             self.peer_server.stop()
 
@@ -401,7 +411,7 @@ class ClusterSupervisor(object):
             self._idle_ticks += 1
             if self._idle_ticks >= IDLE_TICKS_TO_RETIRE:
                 self._idle_ticks = 0
-                self._scale_down(live_local)
+                await self._scale_down()
         else:
             self._idle_ticks = 0
 
@@ -422,13 +432,26 @@ class ClusterSupervisor(object):
         finally:
             self._scaling = False
 
-    def _scale_down(self, live_local):
-        for worker in live_local:
-            if worker.state == "idle":
-                worker.state = "stopped"
-                self._loop.create_task(worker.request_shutdown())
-                self._bump("cluster.scale_down")
-                return
+    async def _scale_down(self):
+        """Retire one idle local worker: stop it, reap it, forget it.
+
+        The victim is taken off the idle queue, so it holds no shard.
+        """
+        victim, keep = None, []
+        while not self._idle.empty():
+            member = self._idle.get_nowait()
+            if victim is None and member.alive \
+                    and not isinstance(member, NodeHandle):
+                victim = member
+            else:
+                keep.append(member)
+        for member in keep:
+            self._idle.put_nowait(member)
+        if victim is None:
+            return
+        self._bump("cluster.scale_down")
+        await victim.stop()
+        self.locals.remove(victim)
 
     # -- member pool ---------------------------------------------------
 
@@ -571,9 +594,11 @@ class ClusterSupervisor(object):
     async def run_job(self, loop, job, progress_cb=None):
         """Execute *job* across the cluster; returns ``(results, report)``.
 
-        Same contract as the fleet supervisor: raises
-        :class:`JobCancelled` / :class:`DeadlineExceeded` /
-        :class:`SimulationError`.
+        Same contract as :meth:`WorkerTier.run_job`: raises
+        :class:`JobCancelled` on cooperative cancel,
+        :class:`SimulationError` on structured failure -- plus
+        :class:`DeadlineExceeded` when the job's deadline expires
+        before its shards finish.
         """
         policy_fields = asdict(self.job_policy(job))
         total = len(job.requests)
@@ -682,7 +707,7 @@ class ClusterSupervisor(object):
                     )
                 return
             attempts[shard.id] += 1
-            self._bump("cluster.requeues")
+            self._bump("fleet.requeues")
             pending.append(shard)
 
         try:
@@ -754,6 +779,3 @@ class ClusterSupervisor(object):
         """Remote node rows for the ``fleet`` endpoint."""
         return [handle.snapshot()
                 for _name, handle in sorted(self.nodes.items())]
-
-    def live_count_locals(self):
-        return len(self.live_locals())

@@ -1,12 +1,13 @@
-"""Worker liveness: heartbeat accounting for the fleet supervisor.
+"""Member liveness: heartbeat accounting for the subprocess scheduler.
 
-Each worker subprocess emits a ``{"type": "beat"}`` frame every
-``beat_interval`` seconds from a dedicated thread (so a busy simulation
-keeps beating).  The parent folds every received beat into a
-:class:`WorkerHealth`; when ``max_missed`` consecutive intervals pass
-without one, :meth:`WorkerHealth.dead` flips and the supervisor
-declares the worker lost -- it is killed, its in-flight job is
-requeued, and a replacement is spawned under deterministic backoff.
+Each worker subprocess (and each remote node) emits a ``{"type":
+"beat"}`` frame every ``beat_interval`` seconds from a dedicated thread
+(so a busy simulation keeps beating).  The parent folds every received
+beat into a :class:`WorkerHealth`; when ``max_missed`` consecutive
+intervals pass without one, :meth:`WorkerHealth.dead` flips and the
+supervisor declares the member lost -- it is aborted, its in-flight
+shard is requeued, and a dead local worker is respawned under
+deterministic backoff.
 
 The check is purely interval arithmetic over a monotonic clock: no
 timers, no wall-clock, injectable for tests.

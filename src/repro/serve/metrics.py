@@ -27,7 +27,8 @@ Taxonomy::
     serve.uptime_seconds / serve.jobs_per_second   throughput
     serve.fleet.respawns / requeues / sheds  worker-loss recovery events
     serve.fleet.breaker.{opened,half_open,closed}  breaker transitions
-    serve.fleet.workers / workers_live       fleet size / live workers
+    serve.cluster.*                          scheduler membership, shards,
+                                             steals, autoscaling, peers
     serve.jobs.rejected_circuit              breaker-bounced submissions
 
 Latency quantiles are computed over a bounded sliding window
@@ -68,7 +69,7 @@ _COUNTERS = (
     ("runs.crashes", "worker crashes absorbed by the batch engine"),
     ("runs.timeouts", "hung runs detected by the batch engine"),
     ("fleet.respawns", "dead fleet workers replaced by the supervisor"),
-    ("fleet.requeues", "in-flight jobs requeued after a worker loss"),
+    ("fleet.requeues", "in-flight shards requeued after a member loss"),
     ("fleet.sheds", "jobs shed because their deadline expired"),
     ("fleet.breaker.opened", "circuit breakers tripped open"),
     ("fleet.breaker.half_open", "breaker cooldowns expired into a probe"),
@@ -77,7 +78,6 @@ _COUNTERS = (
     ("cluster.nodes_lost", "remote nodes dropped (EOF or silent beats)"),
     ("cluster.shards", "job shards scattered across the member pool"),
     ("cluster.steals", "shards stolen from stragglers by idle members"),
-    ("cluster.requeues", "shards requeued after losing their member"),
     ("cluster.replayed", "cache entries replayed from reconnecting nodes"),
     ("cluster.scale_up", "local workers spawned by the autoscaler"),
     ("cluster.scale_down", "surplus local workers retired when idle"),
@@ -227,17 +227,6 @@ class ServeMetrics(object):
         )
 
     # ------------------------------------------------------------------
-
-    def attach_fleet(self, fleet):
-        """Register derived gauges over a live WorkerSupervisor."""
-        self.registry.derived(
-            "serve.fleet.workers", lambda: len(fleet.workers),
-            "configured fleet size",
-        )
-        self.registry.derived(
-            "serve.fleet.workers_live", lambda: fleet.live_count(),
-            "fleet workers currently alive",
-        )
 
     def attach_cluster(self, cluster):
         """Register derived gauges over a live ClusterSupervisor."""

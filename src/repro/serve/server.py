@@ -16,9 +16,13 @@ network service.  Life of a submission::
 
 Execution backends: by default jobs run on the in-process
 :class:`~repro.serve.workers.WorkerTier`; with ``workers >= 1``
-(``REPRO_WORKERS`` / ``repro serve --workers N``) they run on a
-supervised subprocess fleet (:mod:`repro.serve.fleet`) with
-heartbeat liveness, automatic respawn and worker-loss requeue.
+(``REPRO_WORKERS`` / ``repro serve --workers N``) or ``cluster`` they
+run on the one subprocess scheduler,
+:class:`~repro.serve.cluster.supervisor.ClusterSupervisor`: local
+worker subprocesses with heartbeat liveness, automatic respawn and
+worker-loss requeue, plus -- with ``cluster`` only -- remote nodes
+that dial in with ``node-hello`` and a cache-peer listener exporting
+the result cache.
 Client-supplied ``deadline_ms`` propagates submit -> queue -> worker
 (expired jobs are shed with a typed ``deadline-exceeded`` error) and a
 per-benchmark circuit breaker (:mod:`repro.serve.breaker`) rejects
@@ -57,7 +61,7 @@ from repro.obs.io import atomic_write_text
 from repro.resilience import ON_ERROR_MODES, SimulationError
 from repro.serve import protocol
 from repro.serve.breaker import BreakerBoard
-from repro.serve.fleet import DeadlineExceeded, WorkerSupervisor
+from repro.serve.cluster.supervisor import ClusterSupervisor, DeadlineExceeded
 from repro.serve.jobs import JobTable
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import ProtocolError, error_message
@@ -128,14 +132,20 @@ class JobServer(object):
         tracer ("serve" category).
     :param drain_grace: seconds :meth:`drain` waits before requesting
         cooperative cancellation of still-running jobs.
-    :param workers: fleet size; ``None`` reads ``REPRO_WORKERS`` and
-        ``0`` keeps the in-process tier.  With a fleet,
-        ``max_concurrent`` is ignored (one job per worker).
-    :param beat_interval: fleet worker heartbeat period, seconds.
+    :param workers: local worker subprocesses (also the autoscaler
+        floor); ``None`` reads ``REPRO_WORKERS``, and ``0`` without
+        *cluster* keeps the in-process tier.  With subprocesses the
+        server admits ``max(max_concurrent, workers)`` jobs at once.
+    :param beat_interval: worker heartbeat period, seconds.
     :param max_missed: missed beats before a worker is declared dead.
     :param breaker: pre-configured
         :class:`~repro.serve.breaker.BreakerBoard` (tests); a default
         board is built when None.
+    :param cluster: also adopt remote ``node-hello`` connections and
+        export the result cache on *peer_port*; ``None`` reads
+        ``REPRO_CLUSTER``.
+    :param cluster_max_local: autoscaler ceiling for local workers.
+    :param shard_tasks: fixed shard size (None = auto).
     """
 
     def __init__(self, host="127.0.0.1", port=0, cache_dir=None,
@@ -150,8 +160,7 @@ class JobServer(object):
                  max_frame_bytes=protocol.MAX_FRAME_BYTES,
                  workers=None, beat_interval=DEFAULT_BEAT_INTERVAL,
                  max_missed=4, breaker=None, cluster=None,
-                 cluster_min_local=0, cluster_max_local=4,
-                 peer_port=0, shard_tasks=None):
+                 cluster_max_local=4, peer_port=0, shard_tasks=None):
         self.host = host
         self.port = port
         self.max_requests_per_job = max_requests_per_job
@@ -168,8 +177,8 @@ class JobServer(object):
         self._tmp_cache = None
         if (workers >= 1 or cluster) and cache_dir is None \
                 and runner is None:
-            # fleet workers are separate processes: they need a real
-            # shared on-disk cache (it is also the requeue checkpoint)
+            # workers are separate processes: they need a real shared
+            # on-disk cache (it is also the requeue checkpoint)
             import tempfile
 
             cache_dir = self._tmp_cache = tempfile.mkdtemp(
@@ -182,47 +191,32 @@ class JobServer(object):
         self.queue = AdmissionQueue(high_water=high_water,
                                     on_shed=self._shed_expired)
         self.metrics = ServeMetrics(queue=self.queue, table=self.table)
-        self.cluster = None
-        if cluster:
-            from repro.serve.cluster.supervisor import ClusterSupervisor
-
-            fleet_cache = cache_dir
-            if fleet_cache is None:
-                fleet_cache = getattr(self.runner, "cache_dir", None)
+        self.accepts_nodes = cluster
+        if workers >= 1 or cluster:
+            if cache_dir is None:
+                # a pre-built runner: share its disk cache when it has one
+                cache_dir = getattr(self.runner, "cache_dir", None)
             self.tier = None
-            self.fleet = None
             self.cluster = ClusterSupervisor(
-                cache_dir=fleet_cache, runner=self.runner,
+                cache_dir=cache_dir, runner=self.runner,
                 local_workers=workers, beat_interval=beat_interval,
                 max_missed=max_missed, policy=policy,
                 batch_jobs=batch_jobs, metrics=self.metrics,
-                min_local=cluster_min_local, max_local=cluster_max_local,
+                min_local=workers, max_local=cluster_max_local,
                 queue_depth=lambda: len(self.queue),
-                high_water=high_water, dispatch_width=max_concurrent,
-                shard_tasks=shard_tasks, peer_port=peer_port,
+                high_water=high_water,
+                dispatch_width=max(max_concurrent, workers),
+                shard_tasks=shard_tasks,
+                peer_port=peer_port if cluster else None,
                 on_degraded=self._on_degraded,
             )
             self.executor = self.cluster
             self.metrics.attach_cluster(self.cluster)
-        elif workers >= 1:
-            fleet_cache = cache_dir
-            if fleet_cache is None:
-                # a pre-built runner: share its disk cache when it has one
-                fleet_cache = getattr(self.runner, "cache_dir", None)
-            self.tier = None
-            self.fleet = WorkerSupervisor(
-                cache_dir=fleet_cache, workers=workers,
-                beat_interval=beat_interval, max_missed=max_missed,
-                policy=policy, batch_jobs=batch_jobs,
-                metrics=self.metrics,
-            )
-            self.executor = self.fleet
-            self.metrics.attach_fleet(self.fleet)
         else:
             self.tier = WorkerTier(self.runner,
                                    max_concurrent=max_concurrent,
                                    batch_jobs=batch_jobs, policy=policy)
-            self.fleet = None
+            self.cluster = None
             self.executor = self.tier
         self.breakers = breaker if breaker is not None else BreakerBoard()
         self.breakers.on_transition = self._breaker_transition
@@ -251,8 +245,6 @@ class JobServer(object):
     async def start(self):
         """Bind, start the dispatcher and heartbeat; returns *self*."""
         self.loop = asyncio.get_running_loop()
-        if self.fleet is not None:
-            await self.fleet.start()
         if self.cluster is not None:
             await self.cluster.start()
         self._slots = asyncio.Semaphore(self.executor.max_concurrent)
@@ -321,8 +313,6 @@ class JobServer(object):
         await self._server.wait_closed()
         if self.tier is not None:
             self.tier.shutdown(wait=False)
-        if self.fleet is not None:
-            await self.fleet.shutdown()
         if self.cluster is not None:
             await self.cluster.shutdown()
         self.flush()
@@ -542,8 +532,7 @@ class JobServer(object):
                 if message is None:
                     break  # clean EOF
                 if message.get("type") == "node-hello" \
-                        and self.cluster is not None \
-                        and not self.draining:
+                        and self.accepts_nodes and not self.draining:
                     # hand the connection to the cluster supervisor; the
                     # NodeHandle's reader task owns it from here on
                     await self.cluster.adopt_node(message, reader, writer)
@@ -676,25 +665,17 @@ class JobServer(object):
         return {"type": "cancelling", "job_id": job.id, "state": job.state}
 
     async def _on_fleet(self, message):
-        """Fleet observability: worker/node rows + breaker states."""
+        """Scheduler observability: worker/node rows + breaker states."""
+        reply = {"type": "fleet", "mode": "tier", "workers": [],
+                 "nodes": [], "breakers": self.breakers.snapshot()}
         if self.cluster is not None:
-            return {
-                "type": "fleet",
-                "mode": "cluster",
-                "workers": self.cluster.snapshot(),
-                "nodes": self.cluster.node_snapshot(),
-                "degraded": self.cluster.degraded(),
-                "peer_totals": self.cluster.peer_totals(),
-                "breakers": self.breakers.snapshot(),
-            }
-        workers = self.fleet.snapshot() if self.fleet is not None else []
-        return {
-            "type": "fleet",
-            "mode": "fleet" if self.fleet is not None else "tier",
-            "workers": workers,
-            "nodes": [],
-            "breakers": self.breakers.snapshot(),
-        }
+            reply["mode"] = "cluster" if self.accepts_nodes else "fleet"
+            reply["workers"] = self.cluster.snapshot()
+        if self.accepts_nodes:
+            reply.update(nodes=self.cluster.node_snapshot(),
+                         degraded=self.cluster.degraded(),
+                         peer_totals=self.cluster.peer_totals())
+        return reply
 
     async def _on_submit(self, message):
         self.metrics.bump("jobs.submitted")

@@ -1,4 +1,4 @@
-"""Fleet worker subprocess: protocol, child entry point, parent handle.
+"""Local worker subprocess: protocol, job body, child entry point, handles.
 
 A fleet worker is a separate OS process (``python -m
 repro.serve.supervisor``) speaking the repository's length-prefixed
@@ -66,11 +66,83 @@ DEFAULT_SPAWN_TIMEOUT = 30.0
 
 
 class _DeadlineHit(Exception):
-    """Raised inside the child's batch when the job's deadline passes."""
+    """Raised inside a batch when the job's deadline passes."""
 
 
 # ----------------------------------------------------------------------
 # child side
+
+
+def run_job_frame(runner, frame, send, fault_point, batch_jobs):
+    """Execute one ``job`` frame and report it through *send*.
+
+    The one job body behind both ends of the wire: a fleet worker
+    (:class:`_Worker`) and a remote node
+    (:class:`~repro.serve.cluster.node.NodeAgent`) differ only in how
+    they send frames and in which chaos verbs *fault_point(job_key,
+    attempt, stage)* consults.  Exactly one ``result`` or ``job-error``
+    frame is sent per call, after any number of ``progress`` frames.
+    """
+    from repro.resilience import FailurePolicy, SimulationError
+    from repro.sim.runner import RunRequest
+
+    job = frame["job"]
+    job_id = job["id"]
+    job_key = job["key"]
+    attempt = int(job.get("attempt", 0))
+    remaining = job.get("deadline")
+    deadline_at = (time.monotonic() + remaining
+                   if remaining is not None else None)
+
+    def fail(exc_type, message, attempts, code=None):
+        error = {"type": "job-error", "job_id": job_id,
+                 "error_type": exc_type, "message": message,
+                 "attempts": attempts}
+        if code is not None:
+            error["code"] = code
+        send(error)
+
+    try:
+        requests = [RunRequest(*fields) for fields in job["requests"]]
+        policy = FailurePolicy(**(job.get("policy") or {}))
+    except (TypeError, ValueError) as exc:
+        fail(type(exc).__name__, "bad job frame: %s" % exc, 0)
+        return
+    if deadline_at is not None and remaining <= 0:
+        fail("DeadlineExceeded", "deadline expired before execution", 0,
+             code="deadline-exceeded")
+        return
+    fault_point(job_key, attempt, "start")
+
+    def progress(done, total):
+        # fault first so an injected kill never reports work it is about
+        # to lose; a partitioned node keeps computing but its sends
+        # become no-ops
+        fault_point(job_key, attempt, "t%d" % done)
+        if deadline_at is not None and time.monotonic() > deadline_at:
+            raise _DeadlineHit(job_id)
+        send({"type": "progress", "job_id": job_id,
+              "done": done, "total": total})
+
+    try:
+        results, report = runner.run_batch(
+            requests, jobs=batch_jobs, policy=policy, progress=progress,
+        )
+    except _DeadlineHit:
+        fail("DeadlineExceeded", "deadline expired at a task boundary "
+             "(completed work is checkpointed)", attempt + 1,
+             code="deadline-exceeded")
+        return
+    except SimulationError as exc:
+        fail(type(exc).__name__, str(exc), getattr(exc, "attempts", 0))
+        return
+    except Exception as exc:  # noqa: BLE001 - report, never die
+        fail(type(exc).__name__, str(exc), attempt + 1)
+        return
+    payload = [None if result is None else result.as_dict()
+               for result in results]
+    send({"type": "result", "job_id": job_id,
+          "payload": payload, "report": report.as_dict()})
 
 
 class _BeatThread(object):
@@ -148,74 +220,6 @@ class _Worker(object):
             self._out.flush()
             os._exit(CRASH_EXIT_CODE)
 
-    # -- job execution -------------------------------------------------
-
-    def run_job(self, frame):
-        from repro.resilience import FailurePolicy, SimulationError
-        from repro.sim.runner import RunRequest
-
-        job = frame["job"]
-        job_id = job["id"]
-        job_key = job["key"]
-        attempt = int(job.get("attempt", 0))
-        remaining = job.get("deadline")
-        deadline_at = (time.monotonic() + remaining
-                       if remaining is not None else None)
-        try:
-            requests = [RunRequest(*fields) for fields in job["requests"]]
-            policy = FailurePolicy(**(job.get("policy") or {}))
-        except (TypeError, ValueError) as exc:
-            self.send({"type": "job-error", "job_id": job_id,
-                       "error_type": type(exc).__name__,
-                       "message": "bad job frame: %s" % exc, "attempts": 0})
-            return
-        if deadline_at is not None and remaining <= 0:
-            self.send({"type": "job-error", "job_id": job_id,
-                       "code": "deadline-exceeded",
-                       "error_type": "DeadlineExceeded",
-                       "message": "deadline expired before execution",
-                       "attempts": 0})
-            return
-        self._fault_point(job_key, attempt, "start")
-
-        def progress(done, total):
-            # fault first so an injected kill/hang never emits a frame
-            # for work it is about to lose
-            self._fault_point(job_key, attempt, "t%d" % done)
-            if deadline_at is not None and time.monotonic() > deadline_at:
-                raise _DeadlineHit(job_id)
-            self.send({"type": "progress", "job_id": job_id,
-                       "done": done, "total": total})
-
-        try:
-            results, report = self.runner.run_batch(
-                requests, jobs=self.batch_jobs, policy=policy,
-                progress=progress,
-            )
-        except _DeadlineHit:
-            self.send({"type": "job-error", "job_id": job_id,
-                       "code": "deadline-exceeded",
-                       "error_type": "DeadlineExceeded",
-                       "message": "deadline expired at a task boundary "
-                                  "(completed work is checkpointed)",
-                       "attempts": attempt + 1})
-            return
-        except SimulationError as exc:
-            self.send({"type": "job-error", "job_id": job_id,
-                       "error_type": type(exc).__name__,
-                       "message": str(exc),
-                       "attempts": getattr(exc, "attempts", 0)})
-            return
-        except Exception as exc:  # noqa: BLE001 - worker must report, not die
-            self.send({"type": "job-error", "job_id": job_id,
-                       "error_type": type(exc).__name__,
-                       "message": str(exc), "attempts": attempt + 1})
-            return
-        payload = [None if result is None else result.as_dict()
-                   for result in results]
-        self.send({"type": "result", "job_id": job_id,
-                   "payload": payload, "report": report.as_dict()})
-
     def serve_forever(self):
         self.beats.start()
         self.send({"type": "ready", "worker": self.worker_id,
@@ -228,7 +232,8 @@ class _Worker(object):
             if frame is None or frame.get("type") == "shutdown":
                 return 0
             if frame.get("type") == "job":
-                self.run_job(frame)
+                run_job_frame(self.runner, frame, self.send,
+                              self._fault_point, self.batch_jobs)
             # unknown frame types are ignored (forward compatibility)
 
 
@@ -252,11 +257,109 @@ def worker_main(argv=None):
 
 
 class WorkerLost(Exception):
-    """The worker died (or went silent) while holding a job."""
+    """A worker subprocess failed to come up (no ``ready`` frame)."""
 
 
-class WorkerProcess(object):
-    """Parent-side handle on one fleet worker subprocess.
+class Member(object):
+    """Coordinator-side handle on one execution member, local or remote.
+
+    Holds the one ``execute`` poll loop behind :class:`WorkerProcess`
+    and :class:`~repro.serve.cluster.remote.NodeHandle`.  A subclass
+    runs a reader task that feeds every non-beat frame into
+    ``self._frames`` (``None`` on EOF) and supplies three things:
+
+    * ``send(message)`` -- write one frame; False when the link is gone;
+    * ``abort()`` -- stop the member mid-job (kill the process or close
+      the connection);
+    * ``lost_reason(eof=False)`` -- why the member is lost (always a
+      reason on EOF), or None while it is still up.
+    """
+
+    def __init__(self, beat_interval, max_missed, state):
+        self.health = WorkerHealth(beat_interval, max_missed)
+        self.state = state
+        self.current_job = None
+        self.jobs_done = 0
+        self._frames = None      # asyncio.Queue of non-beat frames
+
+    async def execute(self, job, attempt, policy_fields=None,
+                      on_progress=None, poll_interval=0.05):
+        """Run *job* (a job or a shard) here; returns ``(outcome, detail)``.
+
+        *policy_fields* is the effective :class:`FailurePolicy` as a
+        plain dict (the supervisor resolves env defaults + per-job
+        overrides once, so every attempt runs under the same policy).
+
+        Outcomes:
+
+        * ``("done", (payload, report))``  -- completed normally;
+        * ``("error", info)``              -- the member reported a
+          structured failure (*info* is the job-error frame);
+        * ``("cancelled", None)``          -- the job's cancel flag went
+          up mid-run; the member is aborted (its batch loop cannot be
+          interrupted remotely; completed tasks are checkpointed, so
+          nothing is lost);
+        * ``("lost", reason)``             -- the member died, dropped
+          its link or went heartbeat-silent; the caller requeues.
+        """
+        import asyncio
+
+        remaining = None
+        if job.deadline is not None:
+            remaining = max(0.0, job.deadline - time.monotonic())
+        self.state = "busy"
+        self.current_job = job.id
+        self.health.reset()
+        try:
+            sent = await self.send({"type": "job", "job": {
+                "id": job.id, "key": job.key, "attempt": attempt,
+                "deadline": remaining,
+                "requests": [list(request) for request in job.requests],
+                "policy": policy_fields or {},
+            }})
+            if not sent:
+                self.abort()
+                return "lost", "send failed"
+            while True:
+                try:
+                    frame = await asyncio.wait_for(self._frames.get(),
+                                                   poll_interval)
+                except asyncio.TimeoutError:
+                    if job.cancel_requested:
+                        self.abort()
+                        return "cancelled", None
+                    reason = self.lost_reason()
+                    if reason is None and self.health.dead():
+                        self.abort()
+                        reason = ("no heartbeat for %d intervals"
+                                  % self.health.max_missed)
+                    if reason is not None:
+                        self.state = "dead"
+                        return "lost", reason
+                    continue
+                if frame is None:
+                    self.state = "dead"
+                    return "lost", self.lost_reason(eof=True)
+                kind = frame.get("type")
+                if kind == "progress" and frame.get("job_id") == job.id:
+                    if on_progress is not None:
+                        on_progress(job, frame.get("done", 0),
+                                    frame.get("total", job.done_total))
+                elif kind == "result" and frame.get("job_id") == job.id:
+                    self.jobs_done += 1
+                    return "done", (frame.get("payload"),
+                                    frame.get("report") or {})
+                elif kind == "job-error" and frame.get("job_id") == job.id:
+                    return "error", frame
+                # stale frames from a previous assignment are dropped
+        finally:
+            self.current_job = None
+            if self.state == "busy":
+                self.state = "idle"
+
+
+class WorkerProcess(Member):
+    """Parent-side handle on one local worker subprocess.
 
     Owns the subprocess, a dedicated reader task draining its stdout
     (beats fold straight into :class:`WorkerHealth`; every other frame
@@ -269,20 +372,16 @@ class WorkerProcess(object):
                  beat_interval=DEFAULT_BEAT_INTERVAL,
                  max_missed=DEFAULT_MAX_MISSED, batch_jobs=1,
                  spawn_timeout=DEFAULT_SPAWN_TIMEOUT):
+        super(WorkerProcess, self).__init__(beat_interval, max_missed,
+                                            "starting")
         self.id = worker_id
         self.cache_dir = cache_dir
         self.beat_interval = beat_interval
-        self.max_missed = max_missed
         self.batch_jobs = batch_jobs
         self.spawn_timeout = spawn_timeout
-        self.health = WorkerHealth(beat_interval, max_missed)
-        self.state = "starting"
         self.pid = None
-        self.current_job = None
         self.respawns = 0        # times this slot was respawned
-        self.jobs_done = 0
         self._proc = None
-        self._frames = None      # asyncio.Queue of non-beat frames
         self._reader = None
 
     # -- lifecycle -----------------------------------------------------
@@ -375,100 +474,40 @@ class WorkerProcess(object):
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
 
+    abort = kill
+
+    def lost_reason(self, eof=False):
+        if eof:
+            return "pipe EOF"
+        if self._proc.returncode is not None:
+            return "exit code %s" % self._proc.returncode
+        return None
+
     async def send(self, message):
-        """Write one frame to the worker; raises :class:`WorkerLost`."""
+        """Write one frame to the worker; False when the pipe is gone."""
         try:
             self._proc.stdin.write(protocol.encode_frame(message))
             await self._proc.stdin.drain()
+            return True
         except (ConnectionError, OSError, RuntimeError, ProtocolError):
-            raise WorkerLost("worker %d pipe is gone" % self.id)
+            return False
 
-    async def request_shutdown(self):
-        """Best-effort graceful shutdown frame (drain path)."""
-        try:
-            await self.send({"type": "shutdown"})
-        except WorkerLost:
-            pass
+    async def stop(self, timeout=10.0):
+        """Graceful stop: a shutdown frame, a bounded wait, then a kill.
 
-    # -- job execution -------------------------------------------------
-
-    async def execute(self, job, attempt, policy_fields=None,
-                      on_progress=None, poll_interval=0.05):
-        """Run *job* on this worker; returns ``(outcome, detail)``.
-
-        *policy_fields* is the effective :class:`FailurePolicy` as a
-        plain dict (the supervisor resolves env defaults + per-job
-        overrides once, so every attempt runs under the same policy).
-
-        Outcomes:
-
-        * ``("done", (payload, report))``  -- completed normally;
-        * ``("error", info)``              -- the worker reported a
-          structured failure (*info* is the job-error frame);
-        * ``("cancelled", None)``          -- the job's cancel flag went
-          up mid-run; the worker is killed (its loop cannot be
-          interrupted) and the slot respawned by the supervisor;
-        * ``("lost", reason)``             -- the worker died or went
-          heartbeat-silent; the caller requeues the job.
+        Terminates promptly even when the worker is already dead or
+        frozen; leaves the slot ``stopped`` with its process reaped.
         """
         import asyncio
 
-        remaining = None
-        if job.deadline is not None:
-            remaining = max(0.0, job.deadline - time.monotonic())
-        self.state = "busy"
-        self.current_job = job.id
-        self.health.reset()
-        try:
-            await self.send({"type": "job", "job": {
-                "id": job.id, "key": job.key, "attempt": attempt,
-                "deadline": remaining,
-                "requests": [list(request) for request in job.requests],
-                "policy": policy_fields or {},
-            }})
-        except WorkerLost:
-            self.kill()
-            return "lost", "send failed"
-        try:
-            while True:
-                try:
-                    frame = await asyncio.wait_for(self._frames.get(),
-                                                   poll_interval)
-                except asyncio.TimeoutError:
-                    if job.cancel_requested:
-                        # the child's batch loop cannot be interrupted
-                        # remotely; completed tasks are checkpointed, so
-                        # killing the worker loses nothing
-                        self.kill()
-                        return "cancelled", None
-                    if self._proc.returncode is not None:
-                        self.state = "dead"
-                        return "lost", ("exit code %s"
-                                        % self._proc.returncode)
-                    if self.health.dead():
-                        self.kill()
-                        return "lost", ("no heartbeat for %d intervals"
-                                        % self.health.max_missed)
-                    continue
-                if frame is None:
-                    self.state = "dead"
-                    return "lost", "pipe EOF"
-                kind = frame.get("type")
-                if kind == "progress" and frame.get("job_id") == job.id:
-                    if on_progress is not None:
-                        on_progress(job, frame.get("done", 0),
-                                    frame.get("total", job.done_total))
-                elif kind == "result" and frame.get("job_id") == job.id:
-                    self.jobs_done += 1
-                    return "done", (frame.get("payload"),
-                                    frame.get("report") or {})
-                elif kind == "job-error" and frame.get("job_id") == job.id:
-                    return "error", frame
-                # stale frames from a previous assignment are dropped
-        finally:
-            self.current_job = None
-            if self.state == "busy":
-                self.state = "idle"
+        await self.send({"type": "shutdown"})
+        if self._proc is not None and self._proc.returncode is None:
+            try:
+                await asyncio.wait_for(self._proc.wait(), max(0.1, timeout))
+            except asyncio.TimeoutError:
+                self.kill()
+        await self.reap()
+        self.state = "stopped"
 
     def snapshot(self):
         """One row of the ``fleet`` endpoint / ``repro jobs --workers``."""

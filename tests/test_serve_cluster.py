@@ -552,7 +552,7 @@ class TestClusterIntegration(object):
         assert stats["serve.cluster.degraded_transitions"] >= 1
         assert stats["serve.cluster.degraded"] == 1
         assert fleet["degraded"] == 1
-        assert stats["serve.cluster.requeues"] >= 1
+        assert stats["serve.fleet.requeues"] >= 1
         serial = ExperimentRunner(cache_dir=str(tmp_path / "ref-cache"))
         want, _ = serial.run_batch(
             [RunRequest(bench, prefetcher, BUDGET)

@@ -169,6 +169,123 @@ class TestFleetChaos(object):
             thread.stop(timeout=60)
 
 
+class TestWorkersWithoutCluster(object):
+    """``--workers N`` alone: the subprocess scheduler, no cluster tier."""
+
+    def test_no_peer_listener_and_node_hello_is_refused(self, tmp_path):
+        import socket
+
+        from repro.serve import protocol
+
+        with ServerThread(cache_dir=str(tmp_path / "cache"), workers=2,
+                          beat_interval=0.25,
+                          heartbeat_interval=0) as thread:
+            cluster = thread.server.cluster
+            assert cluster.peer_server is None
+            with _client(thread) as client:
+                fleet = client.fleet()
+            assert fleet["mode"] == "fleet"
+            assert [row["worker"] for row in fleet["workers"]] == [0, 1]
+            sock = socket.create_connection(thread.address, timeout=30)
+            with sock, sock.makefile("rb") as rfile:
+                def ask(message):
+                    sock.sendall(protocol.encode_frame(message))
+                    return protocol.read_frame_blocking(rfile)
+
+                reply = ask({"type": "node-hello", "node": "intruder",
+                             "peer_port": 1})
+                assert reply["type"] == "error"
+                assert reply["code"] == "unknown-type"
+                # not adopted: the connection still serves requests
+                assert ask({"type": "ping"})["type"] == "pong"
+            assert cluster.nodes == {}
+            with _client(thread) as client:
+                assert client.statz()["serve.cluster.nodes_joined"] == 0
+
+    def test_sweep_is_sharded_and_byte_identical(self, tmp_path):
+        benchmarks = ["libquantum", "mcf"]
+        prefetchers = ["none", "stride", "bfetch"]
+        with ServerThread(cache_dir=str(tmp_path / "cache"), workers=3,
+                          beat_interval=0.25,
+                          heartbeat_interval=0) as thread:
+            with _client(thread) as client:
+                ticket = client.submit_sweep(benchmarks, prefetchers,
+                                             instructions=BUDGET)
+                reply = client.result(ticket["job_id"], wait=True)
+                stats = client.statz()
+        assert reply["state"] == "done"
+        assert stats["serve.cluster.shards"] > 1
+        serial = ExperimentRunner(cache_dir=str(tmp_path / "ref-cache"))
+        want, _ = serial.run_batch(
+            [RunRequest(bench, prefetcher, BUDGET)
+             for bench in benchmarks for prefetcher in prefetchers]
+        )
+        assert json.dumps(reply["result"], sort_keys=True) \
+            == json.dumps([r.as_dict() for r in want], sort_keys=True)
+
+
+class TestLocalMembers(object):
+    """Local worker slots: ids and autoscaler retirement (no processes)."""
+
+    def test_initial_local_workers_get_distinct_ids(self):
+        from repro.serve.cluster.supervisor import ClusterSupervisor
+
+        supervisor = ClusterSupervisor(local_workers=3)
+        assert [worker.id for worker in supervisor.locals] == [0, 1, 2]
+
+    def test_scale_down_reaps_and_forgets_retired_workers(self):
+        from repro.serve.cluster.supervisor import (
+            IDLE_TICKS_TO_RETIRE,
+            ClusterSupervisor,
+        )
+
+        class _FakeWorker(object):
+            def __init__(self, worker_id):
+                self.id = worker_id
+                self.state = "starting"
+
+            @property
+            def alive(self):
+                return self.state not in ("dead", "stopped")
+
+            async def spawn(self):
+                self.state = "idle"
+                return self
+
+            async def stop(self, timeout=10.0):
+                self.state = "stopped"
+
+        depth = [0]
+        supervisor = ClusterSupervisor(local_workers=0, min_local=1,
+                                       max_local=3, high_water=2,
+                                       queue_depth=lambda: depth[0])
+        supervisor._new_local = _FakeWorker
+        retired = []
+
+        async def scenario():
+            supervisor._loop = asyncio.get_running_loop()
+            supervisor._idle = asyncio.Queue()
+            for _cycle in range(2):
+                depth[0] = 5                      # burst: grow to ceiling
+                for _ in range(4):
+                    await supervisor._autoscale_tick()
+                assert len(supervisor.live_locals()) == 3
+                burst = list(supervisor.locals)
+                depth[0] = 0                      # idle: retire to floor
+                for _ in range(3 * IDLE_TICKS_TO_RETIRE):
+                    await supervisor._autoscale_tick()
+                    assert len(supervisor.locals) <= 3
+                retired.extend(worker for worker in burst
+                               if worker not in supervisor.locals)
+                assert len(supervisor.locals) == 1
+                assert supervisor._idle.qsize() == 1
+
+        asyncio.run(scenario())
+        assert len(retired) == 4
+        assert all(worker.state == "stopped" for worker in retired)
+        assert len({worker.id for worker in retired}) == 4
+
+
 # ----------------------------------------------------------------------
 # deadlines: propagation + shedding
 
@@ -544,14 +661,14 @@ class TestRespawnBackoffCap(object):
     def test_backoff_delay_is_capped_after_exhaustion(self):
         """A slot that keeps dying respawns forever at the capped delay.
 
-        ``WorkerSupervisor._respawn`` feeds ``min(respawns, 6)`` into
+        ``ClusterSupervisor._respawn`` feeds ``min(respawns, 6)`` into
         the deterministic backoff, so a worker that has died 50 times
         waits exactly as long as one that died 6 times -- bounded,
         never overflowing, and the slot is never abandoned.
         """
-        from repro.serve.fleet import (
+        from repro.serve.cluster.supervisor import (
             RESPAWN_POLICY,
-            WorkerSupervisor,
+            ClusterSupervisor,
         )
         from repro.resilience import backoff_delay
 
@@ -570,7 +687,7 @@ class TestRespawnBackoffCap(object):
                 self.spawned += 1
                 self.state = "idle"
 
-        supervisor = WorkerSupervisor.__new__(WorkerSupervisor)
+        supervisor = ClusterSupervisor.__new__(ClusterSupervisor)
         supervisor.respawn_policy = RESPAWN_POLICY
         supervisor.metrics = None
 
@@ -611,7 +728,7 @@ class TestRespawnBackoffCap(object):
 
     def test_respawn_failure_marks_slot_dead_but_not_abandoned(self):
         """A spawn that raises leaves the slot dead for the next pass."""
-        from repro.serve.fleet import WorkerSupervisor
+        from repro.serve.cluster.supervisor import ClusterSupervisor
         from repro.serve.supervisor import WorkerLost
         from repro.resilience import FailurePolicy
 
@@ -627,7 +744,7 @@ class TestRespawnBackoffCap(object):
             async def spawn(self):
                 raise WorkerLost("spawn refused")
 
-        supervisor = WorkerSupervisor.__new__(WorkerSupervisor)
+        supervisor = ClusterSupervisor.__new__(ClusterSupervisor)
         supervisor.respawn_policy = FailurePolicy(
             retries=0, backoff_base=0.0, backoff_factor=1.0,
             backoff_max=0.0, jitter=0.0, seed=0,
