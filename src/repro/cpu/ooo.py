@@ -21,6 +21,15 @@ rate, and fetches/dispatches up to ``width`` instructions:
 The model is deliberately idle-cycle-skipping: when fetch cannot proceed
 (flush bubble or full ROB) the clock jumps to the next event, which makes
 memory-bound regions cheap to simulate without changing any outcome.
+
+:meth:`OutOfOrderCore.step_cycle` is the one cycle loop and steps in
+*slices*: it loads its locals once, then runs cycles until the next one
+would reach the caller's limit, the core is done, or ``retired`` reaches
+a watched count.  :meth:`~OutOfOrderCore.run` is one unbounded slice,
+:meth:`~OutOfOrderCore.run_until` one slice bounded by its stop cycle,
+and the CMP scheduler (:mod:`repro.sim.cmp`) gives each core a slice up
+to the next event on its heap.  A slice steps exactly the cycles that
+one-cycle calls would, so where the slices end never moves a counter.
 """
 
 from repro.isa.opcodes import (
@@ -32,6 +41,8 @@ from repro.isa.opcodes import (
 from repro.prefetchers.base import Prefetcher as _BasePrefetcher
 
 _FETCH_HIST_BUCKETS = 4
+# a step_cycle limit no simulated clock reaches: an unbounded slice
+_FOREVER = 1 << 62
 
 # plain-int opcodes for the dispatch hot path (IntEnum attribute lookups
 # cost a global + class-attr load per comparison)
@@ -150,6 +161,7 @@ class OutOfOrderCore:
         self.retired = 0
         self.budget = 0
         self.done = False
+        self.last_step = 0  # time of the last cycle step_cycle ran
         self.cond_branches = 0
         self.branches = 0
         self.mispredicts = 0
@@ -191,113 +203,150 @@ class OutOfOrderCore:
         self.budget = budget
         self.done = False
 
-    def _rob_len(self):
-        return len(self.rob) - self._rob_head
+    def step_cycle(self, now, limit=None, watch=None):
+        """Step a slice of cycles from time *now*; return the next time
+        this core has work to do (``now + 1`` while actively fetching).
 
-    def step_cycle(self, now):
-        """Advance one cycle at time *now*; return the next time this core
-        has work to do (``now + 1`` while actively fetching)."""
+        With no *limit* exactly one cycle runs.  Otherwise the slice
+        keeps stepping while that next time stays below *limit*, and
+        stops early once the core is :attr:`done` or, with *watch*, once
+        :attr:`retired` reaches *watch*.  The first cycle always runs;
+        :attr:`last_step` holds the time of the slice's final cycle.
+        Every counter moves exactly as it would over the same cycles
+        stepped one call at a time.
+        """
+        if limit is None:
+            limit = now + 1
+        if watch is None:
+            watch = _FOREVER
         cfg = self.config
         width = cfg.width
-        rob = self.rob
-
-        # retire (in order, up to width)
-        head = self._rob_head
-        retired = self.retired
-        limit = head + width
-        rob_len = len(rob)
-        while head < rob_len and head < limit and rob[head] <= now:
-            head += 1
-            retired += 1
-        self._rob_head = head
-        self.retired = retired
-        if head > 4096:  # compact the ring buffer
-            del rob[:head]
-            self._rob_head = 0
-            head = 0
+        rob_cap = cfg.rob_entries
+        drain_rate = cfg.prefetch_drain_rate
         budget = self.budget
-        if retired >= budget:
-            self.done = True
-            return now + 1
-
-        # drain queued prefetches into the hierarchy
+        # restore() replaces the ROB, the histogram and the prefetch
+        # queue's deque, so they are loaded afresh for every slice
+        rob = self.rob
+        fetch_branch_hist = self.fetch_branch_hist
         prefetcher = self.prefetcher
-        if prefetcher is not None and len(prefetcher.queue):
-            prefetcher.drain(self.hierarchy, now, cfg.prefetch_drain_rate)
-
-        # decoupled front end: the BPU run-ahead advances every cycle,
-        # including I-miss and redirect stall cycles -- the decoupling
+        if prefetcher is not None:
+            pf_queue = prefetcher.queue._queue
+            drain = prefetcher.drain
+        else:
+            pf_queue = ()
+        hierarchy = self.hierarchy
         frontend = self.frontend
         if frontend is not None:
-            frontend.tick(now)
+            tick = frontend.tick
+            demand_ifetch = frontend.demand_fetch
+        else:
+            demand_ifetch = hierarchy.ifetch
+        l1_latency = hierarchy.config.l1_latency
+        machine_step = self.machine.step
+        dispatch = self._dispatch
+        is_branch = _IS_BRANCH
+        fetch_shift = self._fetch_shift
+        fetch_block = self._fetch_block
+        head = self._rob_head
+        retired = self.retired
+        fetch_cycles = self.fetch_cycles
+        flush_stall_cycles = self.flush_stall_cycles
+        rob_full_stalls = self.rob_full_stalls
+        while True:
+            # retire (in order, up to width)
+            retire_end = head + width
+            rob_len = len(rob)
+            while head < rob_len and head < retire_end and rob[head] <= now:
+                head += 1
+                retired += 1
+            if head > 4096:  # compact the ring buffer
+                del rob[:head]
+                head = 0
+            if retired >= budget:
+                self.done = True
+                next_time = now + 1
+                break
 
-        # fetch / dispatch
-        fetched = 0
-        branches_in_group = 0
-        rob_cap = cfg.rob_entries
-        if now >= self.fetch_stall_until:
-            machine_step = self.machine.step
-            dispatch = self._dispatch
-            hierarchy = self.hierarchy
-            l1_latency = hierarchy.config.l1_latency
-            is_branch = _IS_BRANCH
-            demand_ifetch = (
-                hierarchy.ifetch if frontend is None
-                else frontend.demand_fetch
-            )
-            # _rob_head is only moved by retire, so in-flight occupancy
-            # can be tracked locally instead of re-measuring the ROB list
-            # on every loop iteration
-            in_flight = len(rob) - head
-            dispatched_total = retired + in_flight
-            fetch_block = self._fetch_block
-            fetch_shift = self._fetch_shift
-            while (
-                fetched < width
-                and in_flight < rob_cap
-                and dispatched_total < budget
-            ):
-                instr, taken, ea = machine_step()
-                pc = instr.pc
-                block = pc >> fetch_shift
-                if block != fetch_block:
-                    fetch_block = block
-                    ifetch_latency = demand_ifetch(pc, now)
-                    if ifetch_latency > l1_latency:
-                        self.fetch_stall_until = now + ifetch_latency
-                fetched += 1
-                in_flight += 1
-                dispatched_total += 1
-                group_ends = dispatch(instr, taken, ea, now)
-                if is_branch[instr.op]:
-                    branches_in_group += 1
-                if group_ends:
-                    break
-            self._fetch_block = fetch_block
-        if fetched:
-            self.fetch_cycles += 1
-            if branches_in_group:
-                bucket = min(branches_in_group, _FETCH_HIST_BUCKETS)
-                self.fetch_branch_hist[bucket] += 1
-            return now + 1
+            # drain queued prefetches into the hierarchy
+            if pf_queue:
+                drain(hierarchy, now, drain_rate)
 
-        # idle: jump to the next event
-        if now < self.fetch_stall_until:
-            self.flush_stall_cycles += 1
-        elif len(rob) - self._rob_head >= rob_cap:
-            self.rob_full_stalls += 1
-        candidates = []
-        if self._rob_head < len(rob):
-            candidates.append(rob[self._rob_head])
-        if now < self.fetch_stall_until:
-            candidates.append(self.fetch_stall_until)
-        if prefetcher is not None and len(prefetcher.queue):
-            return now + 1  # keep draining at full rate
-        if frontend is not None and frontend.busy():
-            return now + 1  # keep the run-ahead and I-drain ticking
-        if not candidates:
-            return now + 1
-        return max(now + 1, min(candidates))
+            # decoupled front end: the BPU run-ahead advances every
+            # cycle, including I-miss and redirect stall cycles -- the
+            # decoupling
+            if frontend is not None:
+                tick(now)
+
+            # fetch / dispatch; _dispatch and _handle_branch write
+            # fetch_stall_until, so it is read from self every cycle
+            fetched = 0
+            stall_until = self.fetch_stall_until
+            if now >= stall_until:
+                branches_in_group = 0
+                # head is only moved by retire, so in-flight occupancy
+                # is tracked locally instead of re-measuring the ROB
+                in_flight = len(rob) - head
+                dispatched_total = retired + in_flight
+                while (
+                    fetched < width
+                    and in_flight < rob_cap
+                    and dispatched_total < budget
+                ):
+                    instr, taken, ea = machine_step()
+                    pc = instr.pc
+                    block = pc >> fetch_shift
+                    if block != fetch_block:
+                        fetch_block = block
+                        ifetch_latency = demand_ifetch(pc, now)
+                        if ifetch_latency > l1_latency:
+                            self.fetch_stall_until = now + ifetch_latency
+                    fetched += 1
+                    in_flight += 1
+                    dispatched_total += 1
+                    group_ends = dispatch(instr, taken, ea, now)
+                    if is_branch[instr.op]:
+                        branches_in_group += 1
+                    if group_ends:
+                        break
+                if fetched:
+                    fetch_cycles += 1
+                    if branches_in_group:
+                        fetch_branch_hist[
+                            min(branches_in_group, _FETCH_HIST_BUCKETS)
+                        ] += 1
+                    next_time = now + 1
+            if not fetched:
+                # idle (nothing dispatched, so stall_until is current):
+                # jump to the next event
+                if now < stall_until:
+                    flush_stall_cycles += 1
+                elif len(rob) - head >= rob_cap:
+                    rob_full_stalls += 1
+                if pf_queue:
+                    next_time = now + 1  # keep draining at full rate
+                elif frontend is not None and frontend.busy():
+                    next_time = now + 1  # keep the run-ahead ticking
+                else:
+                    if head < len(rob):
+                        wake = rob[head]
+                        if now < stall_until and stall_until < wake:
+                            wake = stall_until
+                    elif now < stall_until:
+                        wake = stall_until
+                    else:
+                        wake = now + 1
+                    next_time = wake if wake > now else now + 1
+            if next_time >= limit or retired >= watch:
+                break
+            now = next_time
+        self._rob_head = head
+        self.retired = retired
+        self._fetch_block = fetch_block
+        self.fetch_cycles = fetch_cycles
+        self.flush_stall_cycles = flush_stall_cycles
+        self.rob_full_stalls = rob_full_stalls
+        self.last_step = now
+        return next_time
 
     # ------------------------------------------------------------------
 
@@ -431,28 +480,23 @@ class OutOfOrderCore:
 
     def run(self, budget):
         """Run standalone until *budget* instructions retire; returns the
-        cycle count."""
+        cycle count.  One unbounded :meth:`step_cycle` slice."""
         self.start(budget)
-        now = self.cycle
-        step = self.step_cycle
-        while not self.done:
-            now = step(now)
-        self.cycle = now
-        return now
+        self.cycle = self.step_cycle(self.cycle, _FOREVER)
+        return self.cycle
 
     def run_until(self, now, stop_cycle):
         """Run from time *now* until completion or ``stop_cycle``.
 
-        The chunked driver used by checkpointing and the sanitizer: the
-        inner loop is the same tight ``step_cycle`` loop as :meth:`run`,
-        so the step sequence (and therefore every counter) is
-        byte-identical to an uninterrupted run -- the chunk boundaries
-        only decide *when* the caller gets control back.
+        The chunked driver used by checkpointing and the sanitizer: one
+        :meth:`step_cycle` slice bounded by ``stop_cycle``, so the step
+        sequence (and therefore every counter) is byte-identical to an
+        uninterrupted run -- the chunk boundaries only decide *when* the
+        caller gets control back.
         """
-        step = self.step_cycle
-        while not self.done and now < stop_cycle:
-            now = step(now)
-        return now
+        if self.done or now >= stop_cycle:
+            return now
+        return self.step_cycle(now, stop_cycle)
 
     # ------------------------------------------------------------------
     # checkpoint/restore

@@ -17,7 +17,7 @@ class PrefetchQueue:
     travels with the block into the cache line for feedback.
     """
 
-    def __init__(self, capacity=100, drops_counter=None):
+    def __init__(self, capacity=100):
         self.capacity = capacity
         self._queue = deque()
         self.drops = 0

@@ -1,12 +1,16 @@
 """Chip-multiprocessor simulation: N cores sharing an LLC and DRAM.
 
-Cores advance on a shared clock via an event heap; each core is stepped at
-the times it asked for, so memory-bound cores skip idle cycles without
-desynchronising the shared LLC state.  Following the paper's methodology,
-when an application finishes its instruction budget it *keeps executing*
-(so contention pressure stays realistic) and only its first ``budget``
-instructions count toward its IPC; the simulation stops once every
-application has reached the budget.
+Cores advance on a shared clock via an event heap of ``(time, core)``
+entries.  The scheduler pops core ``i`` at time ``t`` and hands it one
+:meth:`~repro.cpu.ooo.OutOfOrderCore.step_cycle` slice bounded by the next
+heap event ``(t0, j)`` -- up to ``t0`` inclusive when ``i < j``, else
+exclusive -- so the core runs exactly the cycles it would have won the
+pop for, memory-bound cores skip idle cycles, and the shared LLC sees
+the same access order as with one pop per core-cycle.  Following the
+paper's methodology, when an application finishes its instruction budget
+it *keeps executing* (so contention pressure stays realistic) and only
+its first ``budget`` instructions count toward its IPC; the simulation
+stops once every application has reached the budget.
 
 Checkpoint support mirrors the single-core :class:`~repro.sim.System`:
 the snapshot captures every per-core system (minus the shared LLC/DRAM,
@@ -18,6 +22,7 @@ resumed CMP run replays the exact interleaving of the original.
 import heapq
 
 from repro.checkpoint import CheckpointError
+from repro.cpu.ooo import _FOREVER
 from repro.sim.config import SystemConfig
 from repro.sim.system import _DEFAULT_CHUNK_CYCLES, RunResult, System
 
@@ -149,10 +154,20 @@ class CMPSystem:
                     interrupt.raise_pending()
                 next_stop = now + chunk
             now, index = heapq.heappop(heap)
+            # slice up to the next heap event (t0, j): this core keeps
+            # every cycle it would win the (time, index) pop for
+            if heap:
+                top, other = heap[0]
+                limit = top + 1 if index < other else top
+            else:
+                limit = _FOREVER
+            if chunked and limit > next_stop:
+                limit = next_stop
             core = self.systems[index].core
-            next_time = core.step_cycle(now)
-            if finish_cycle[index] is None and core.retired >= target:
-                finish_cycle[index] = max(now, 1)
+            watch = target if finish_cycle[index] is None else None
+            next_time = core.step_cycle(now, limit, watch)
+            if watch is not None and core.retired >= target:
+                finish_cycle[index] = max(core.last_step, 1)
                 remaining -= 1
                 if remaining == 0:
                     break

@@ -1,7 +1,8 @@
 """Fused replay timing engine.
 
 ``run_replay`` is an exact transcription of the lockstep hot path --
-:meth:`OutOfOrderCore.run` / ``step_cycle`` / ``_dispatch`` /
+the cycle loop of :meth:`OutOfOrderCore.step_cycle` (run as one
+unbounded slice by :meth:`OutOfOrderCore.run`) plus ``_dispatch`` and
 ``_handle_branch`` -- specialised for a pre-decoded trace *view*: the
 per-step functional interpretation, attribute loads and dispatch
 branching are all hoisted out, leaving one tuple unpack per dynamic

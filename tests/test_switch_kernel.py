@@ -1,11 +1,15 @@
 """Jump-table (indirect branch) kernel: JR execution, BTB and BrTC paths."""
 
+import json
 import random
 
 import pytest
 
 from repro.cpu import Machine
+from repro.obs import Tracer
 from repro.sim import System, SystemConfig
+from repro.trace.replay import TraceReplaySource
+from repro.trace.store import TraceStore, clear_memos
 from repro.workloads import Workload
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.patterns import (
@@ -97,3 +101,46 @@ def test_brtc_separates_targets_of_one_indirect_branch(switch_workload):
     populated = sum(1 for tag in brtc.tags if tag is not None)
     # one JR with 4 targets + loop branches: several distinct entries
     assert populated >= CASES
+
+
+JR_STEPS = 6_000
+
+
+def _payload(system, steps):
+    return json.dumps(system.run(steps).as_dict(), sort_keys=True)
+
+
+def _jr_mispredicts(switch_workload, config):
+    """Indirect-jump mispredicts of a lockstep run: all mispredicts less
+    the conditional ones the branch trace reports."""
+    tracer = Tracer({"branch": 1.0})
+    system = System(switch_workload, config, tracer=tracer)
+    system.run(JR_STEPS)
+    cond_wrong = sum(1 for event in tracer.events
+                     if event["ev"] == "predict" and not event["correct"])
+    return system.core.mispredicts - cond_wrong
+
+
+@pytest.fixture
+def fresh_memos():
+    # the trace memos key on (name, steps, program length), not content
+    clear_memos()
+    yield
+    clear_memos()
+
+
+@pytest.mark.parametrize("prefetcher", ("none", "stride", "bfetch"))
+@pytest.mark.usefixtures("fresh_memos")
+def test_fused_replay_matches_lockstep_on_jr_redirects(switch_workload,
+                                                       prefetcher):
+    """The fused engine's indirect-jump redirect (stall and counters)
+    must reproduce lockstep byte for byte on a JR-dense kernel."""
+    config = SystemConfig(prefetcher=prefetcher)
+    assert _jr_mispredicts(switch_workload, config) > 0
+    lockstep = _payload(System(switch_workload, config), JR_STEPS)
+
+    trace = TraceStore().get_or_record(switch_workload, JR_STEPS)
+    fused = System(switch_workload, config,
+                   replay=TraceReplaySource(switch_workload, trace))
+    assert fused._fusable(JR_STEPS)
+    assert _payload(fused, JR_STEPS) == lockstep
